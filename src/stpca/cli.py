@@ -83,6 +83,8 @@ def _cmd_recover(args) -> int:
                 doc["matching"] = report.matching
                 doc["exact"] = report.exact
                 doc["overlap"] = report.overlap
+            else:
+                doc["truth_mismatch"] = {"truth": len(truth), "recovered": len(recovered)}
     _emit(doc, args.out)
     return 0
 

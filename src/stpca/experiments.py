@@ -15,12 +15,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import SignalSpec, sample_noise_tensor, sample_sstm, substream
 from .recovery import (
-    _candidate_index_coeff,
-    enumerate_candidates,
+    argmax_over_family,
+    family_chunks,
     match_supports,
     recover_multi,
     threshold_lambda,
@@ -125,7 +123,7 @@ def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[list]:
             base[9] = repr(sum(report.overlap) / len(report.overlap))
             base[10] = repr(values[0])
             base[11] = repr(runtime_ms) if config.record_runtime else ""
-        except Exception as exc:  # cell failures become rows, the sweep continues
+        except ValueError as exc:  # domain failures become rows, the sweep continues
             base[5] = base[5] if base[5] is not None else repr(float(lam_raw))
             base[12] = f"{type(exc).__name__}: {exc}"
         rows.append(base)
@@ -185,25 +183,6 @@ class ConcentrationReport:
         }
 
 
-def _pair_index_coeff(n: int, p: int, t: int):
-    """Index/coeff rows for all compositions x ordered disjoint candidate pairs."""
-    rows_idx, rows_coeff = [], []
-    for m1 in range(1, p):
-        m2 = p - m1
-        cands1 = list(enumerate_candidates(n, t, frozenset(), m1))
-        for u in cands1:
-            u_idx, u_coeff = _candidate_index_coeff(n, m1, u)
-            for v in enumerate_candidates(n, t, frozenset(u.support), m2):
-                v_idx, v_coeff = _candidate_index_coeff(n, m2, v)
-                idx = (u_idx[:, None] * n**m2 + v_idx[None, :]).reshape(-1)
-                coeff = (u_coeff[:, None] * v_coeff[None, :]).reshape(-1)
-                rows_idx.append(idx)
-                rows_coeff.append(coeff)
-                if len(rows_idx) > CONCENTRATION_PAIR_GUARD:
-                    raise ValueError("candidate pair family exceeds guard")
-    return np.array(rows_idx), np.array(rows_coeff)
-
-
 def check_concentration(
     n: int,
     p: int,
@@ -224,21 +203,22 @@ def check_concentration(
         raise ValueError("r must be 1 or 2 at desk scale")
     if math.comb(n, t) * 2**t > CONCENTRATION_CANDIDATE_GUARD:
         raise ValueError("candidate family exceeds feasibility guard")
-    if r == 1:
-        cands = list(enumerate_candidates(n, t, frozenset(), p))
-        idx_mat = np.empty((len(cands), t**p), dtype=np.int64)
-        coeff_mat = np.empty_like(idx_mat, dtype=np.float64)
-        for i, cand in enumerate(cands):
-            idx_mat[i], coeff_mat[i] = _candidate_index_coeff(n, p, cand)
-    else:
-        idx_mat, coeff_mat = _pair_index_coeff(n, p, t)
+    # one family, kept and scored against every trial's noise tensor
+    family, size = [], 0
+    for chunk in family_chunks(n, p, t, r):
+        size += len(chunk[0])
+        if size > CONCENTRATION_PAIR_GUARD:
+            raise ValueError("candidate pair family exceeds guard")
+        family.append(chunk)
     bound = concentration_bound(n, p, t, r, gamma)
     per_trial_max = []
     for trial in range(trials):
         W = sample_noise_tensor(n, p, trial_seed(seed, 0, trial))
         data = W.data if noise_scale == 1.0 else W.data * noise_scale
-        values = (data[idx_mat] * coeff_mat).sum(axis=1)
-        per_trial_max.append(float(np.abs(values).max()))
+        # max |<W, u>| over the family is the larger of its maxima against W and -W
+        per_trial_max.append(
+            max(argmax_over_family(data, family)[0], argmax_over_family(-data, family)[0])
+        )
     failures = sum(1 for v in per_trial_max if v > bound)
     return ConcentrationReport(
         n, p, t, r, gamma, trials, bound, per_trial_max, failures / trials

@@ -5,7 +5,8 @@ maximize <Y1, u^{xp}> over the t-sparse flat candidates U_t, then read off
 the signal support from the leave-one-mode contraction against Y2. Multi-
 spike recovery repeats the round with the already-recovered indices
 forbidden; the general-tensor variant searches over tuples of disjoint
-candidates across mode compositions.
+candidates across mode compositions. Every search streams its family with
+:func:`family_chunks` and scores it with :func:`argmax_over_family`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,10 +25,11 @@ from .tensor import (
     DenseTensor,
     DenseUnitVector,
     SparseSignVector,
-    add_rank1,
     contract_leave_mode,
     contract_leave_one,
     rank1_inner,
+    sign_terms,
+    sparse_terms,
 )
 
 
@@ -103,6 +106,15 @@ def candidate_count(n: int, t: int, n_forbidden: int, p: int) -> int:
     return math.comb(free, t) * 2 ** (t - (1 if p % 2 == 0 else 0))
 
 
+def _candidates(allowed: list[int], t: int, parity: int):
+    """(support, signs) of each U_t candidate over the allowed indices, in rank order."""
+    pinned = 1 if parity % 2 == 0 else 0
+    patterns = [(1,) * pinned + s for s in itertools.product((1, -1), repeat=t - pinned)]
+    for support in itertools.combinations(allowed, t):
+        for signs in patterns:
+            yield support, signs
+
+
 def enumerate_candidates(
     n: int, t: int, forbidden: frozenset[int] | set[int], p: int
 ):
@@ -118,50 +130,95 @@ def enumerate_candidates(
         raise EnumerationError(
             f"only {len(allowed)} free coordinates, need t={t}"
         )
-    n_signs = 2 ** (t - 1) if p % 2 == 0 else 2**t
-    for support in itertools.combinations(allowed, t):
-        for pattern in range(n_signs):
-            if p % 2 == 0:
-                pattern_bits = pattern  # leading sign implicitly +1
-                width = t - 1
-            else:
-                pattern_bits = pattern
-                width = t
-            signs = []
-            for b in range(width):
-                bit = (pattern_bits >> (width - 1 - b)) & 1
-                signs.append(-1 if bit else 1)
-            if p % 2 == 0:
-                signs = [1] + signs
-            yield SparseSignVector(n, support, tuple(signs))
+    for support, signs in _candidates(allowed, t, p):
+        yield SparseSignVector(n, support, signs)
 
 
-def _candidate_index_coeff(n: int, p: int, cand: SparseSignVector):
-    """Flat indices and coefficients of the t^p nonzeros of cand^{xp}."""
-    entries = cand.entries()
-    idxs = np.empty(len(entries) ** p, dtype=np.int64)
-    coeffs = np.empty(len(entries) ** p)
-    for j, combo in enumerate(itertools.product(entries, repeat=p)):
-        idx = 0
-        coeff = 1.0
-        for i, val in combo:
-            idx = idx * n + (i - 1)
-            coeff *= val
-        idxs[j] = idx
-        coeffs[j] = coeff
-    return idxs, coeffs
+def _compositions(p: int, ell: int):
+    """All C(p-1, ell-1) compositions of p into ell positive parts, lexicographic."""
+    for cuts in itertools.combinations(range(1, p), ell - 1):
+        bounds = (0, *cuts, p)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def _scan_chunk(Y1: DenseTensor, chunk: list[tuple[int, SparseSignVector]]):
-    """Best (value, rank, candidate) over a contiguous enumeration chunk."""
-    n, p = Y1.n, Y1.p
-    idx_mat = np.empty((len(chunk), len(chunk[0][1].support) ** p), dtype=np.int64)
-    coeff_mat = np.empty_like(idx_mat, dtype=np.float64)
-    for row, (_, cand) in enumerate(chunk):
-        idx_mat[row], coeff_mat[row] = _candidate_index_coeff(n, p, cand)
-    values = (Y1.data[idx_mat] * coeff_mat).sum(axis=1)
-    best = int(np.argmax(values))  # np.argmax returns the first max: rank tie-break
-    return float(values[best]), chunk[best][0], chunk[best][1]
+def _members(n: int, p: int, t: int, ell: int, allowed: list[int]):
+    """(composition, candidates, terms) of every family member, in rank order.
+
+    Compositions come in lexicographic order. Part q of a composition holds a
+    U_t candidate over comp[q] modes, so its sign pruning follows comp[q]'s
+    parity; members are the ordered tuples with pairwise-disjoint supports,
+    the first part varying slowest. A U_t member (ell=1) never repeats, so
+    its terms are built directly; a composite member combines each
+    candidate's power terms, built once per (candidate, part size).
+    """
+    for comp in _compositions(p, ell):
+        if ell == 1:
+            for cand in _candidates(allowed, t, p):
+                yield comp, (cand,), sparse_terms(n, [sign_terms(*cand)] * p)
+            continue
+        parts = [[(c, sparse_terms(n, [sign_terms(*c)] * m)) for c in _candidates(allowed, t, m)]
+                 for m in comp]
+        for combo in itertools.product(*parts):
+            cands = tuple(cand for cand, _ in combo)
+            if len({i for support, _ in cands for i in support}) == ell * t:
+                yield comp, cands, sparse_terms(n, [terms for _, terms in combo])
+
+
+def family_chunks(
+    n: int,
+    p: int,
+    t: int,
+    ell: int = 1,
+    forbidden: frozenset[int] | set[int] = frozenset(),
+    chunk_size: int = 1024,
+):
+    """Stream the candidate family of an order-p tensor in rank order.
+
+    The family holds, for every composition of p into ell parts, the ordered
+    tuples of pairwise-disjoint U_t candidates that avoid forbidden; ell=1 is
+    U_t itself. Yields (members, indices, coefficients) for chunk_size
+    members at a time, which bounds the rows held at once: members[j] is
+    (composition, ((support, signs), ...)) and row j of the two
+    (len(members), t**p) arrays holds the flat indices and coefficients of
+    the member's tensor product.
+    """
+    allowed = [i for i in range(1, n + 1) if i not in forbidden]
+    if len(allowed) < ell * t:
+        raise EnumerationError(f"only {len(allowed)} free coordinates, need {ell} x t={t}")
+    members = _members(n, p, t, ell, allowed)
+    while True:
+        # raw int64/float64 buffers hold a chunk's rows without a Python object per term
+        ranked, idx, coeffs = [], array("q"), array("d")
+        for comp, cands, (_, m_idx, m_coeffs) in itertools.islice(members, chunk_size):
+            ranked.append((comp, cands))
+            idx.extend(m_idx)
+            coeffs.extend(m_coeffs)
+        if not ranked:
+            return
+        shape = (len(ranked), -1)
+        yield (ranked, np.frombuffer(idx, np.int64).reshape(shape),
+               np.frombuffer(coeffs).reshape(shape))
+
+
+def argmax_over_family(data: np.ndarray, family, workers: int = 1):
+    """First maximum of <data, member> over a family, in rank order.
+
+    family is a sequence of :func:`family_chunks` chunks, streamed or kept to
+    score several tensors; data is a tensor's flat entries. Returns
+    (value, member). Ties break by rank (earliest wins), so the result is
+    identical for any worker count or chunk size.
+    """
+
+    def best_in(chunk):
+        members, idx, coeffs = chunk
+        values = (data[idx] * coeffs).sum(axis=1)
+        j = int(np.argmax(values))  # np.argmax returns the first max: rank tie-break
+        return float(values[j]), members[j]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        scored = pool.map(best_in, family) if workers > 1 else map(best_in, family)
+        # max keeps the first of equal values: the rank tie-break across chunks
+        return max(scored, key=lambda s: s[0])
 
 
 def argmax_over_Ut(
@@ -176,26 +233,9 @@ def argmax_over_Ut(
     Ties break by enumeration rank (earliest wins), so the result is
     identical for any worker count or chunk partitioning.
     """
-    ranked = enumerate(enumerate_candidates(Y1.n, t, forbidden, Y1.p))
-    chunks: list[list[tuple[int, SparseSignVector]]] = []
-    while True:
-        chunk = list(itertools.islice(ranked, chunk_size))
-        if not chunk:
-            break
-        chunks.append(chunk)
-    if not chunks:
-        raise EnumerationError("empty candidate set")
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan_chunk(Y1, c), chunks))
-    else:
-        results = [_scan_chunk(Y1, c) for c in chunks]
-    # reduce by (value, -rank): larger value wins, then earlier rank
-    best_value, best_rank, best_cand = results[0]
-    for value, rank, cand in results[1:]:
-        if value > best_value or (value == best_value and rank < best_rank):
-            best_value, best_rank, best_cand = value, rank, cand
-    return best_cand, best_value
+    family = family_chunks(Y1.n, Y1.p, t, 1, forbidden, chunk_size)
+    value, (_, ((support, signs),)) = argmax_over_family(Y1.data, family, workers)
+    return SparseSignVector(Y1.n, support, signs), value
 
 
 def top_k_magnitude(alpha: np.ndarray, k: int) -> frozenset[int]:
@@ -208,12 +248,8 @@ def recover_single(
     Y: DenseTensor, k: int, t: int, seed: int, workers: int = 1
 ) -> tuple[frozenset[int], float]:
     """Single-spike limited brute force; returns (support estimate, argmax value)."""
-    if not 1 <= t <= k <= Y.n:
-        raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={Y.n}")
-    Y1, Y2 = preprocess_split(Y, seed)
-    v_star, value = argmax_over_Ut(Y1, t, frozenset(), workers)
-    alpha = contract_leave_one(Y2, v_star)
-    return top_k_magnitude(alpha, k), value
+    recovered, values = recover_multi(Y, k, t, 1, seed, workers)
+    return recovered[0], values[0]
 
 
 def recover_multi(
@@ -241,13 +277,6 @@ def recover_multi(
     return recovered, values
 
 
-def _compositions(p: int, ell: int):
-    """All C(p-1, ell-1) compositions of p into ell positive parts, lexicographic."""
-    for cuts in itertools.combinations(range(1, p), ell - 1):
-        bounds = (0, *cuts, p)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def recover_general(
     Y: DenseTensor, k: int, t: int, ell: int, seed: int
 ) -> tuple[list[frozenset[int]], float]:
@@ -257,54 +286,20 @@ def recover_general(
     ell-tuples of disjoint-support U_t candidates, then reads each factor's
     support from the contraction leaving one of its modes free.
     """
-    p = Y.p
-    if not 1 <= ell <= p:
+    if not 1 <= ell <= Y.p:
         raise ValueError(f"need 1 <= ell <= p, got ell={ell}")
-    if ell * t > Y.n:
-        raise EnumerationError(f"cannot place {ell} disjoint {t}-sparse candidates")
     Y1, Y2 = preprocess_split(Y, seed)
-    best: tuple[float, int, tuple, tuple] | None = None
-    rank = 0
-    for comp in _compositions(p, ell):
-        for cands in _disjoint_tuples(Y1.n, t, comp):
-            factors = []
-            for cand, m in zip(cands, comp):
-                factors.extend([cand] * m)
-            value = rank1_inner(Y1, factors)
-            if best is None or value > best[0]:
-                best = (value, rank, comp, cands)
-            rank += 1
-    assert best is not None
-    value, _, comp, cands = best
+    value, (comp, cands) = argmax_over_family(Y1.data, family_chunks(Y.n, Y.p, t, ell))
+    factors: list[SparseSignVector] = []
+    for cand, m in zip(cands, comp):
+        factors += [SparseSignVector(Y.n, *cand)] * m
     supports = []
     for q in range(ell):
         # free the last mode occupied by factor q
-        factors: list[SparseSignVector] = []
-        for cand, m in zip(cands, comp):
-            factors.extend([cand] * m)
         free_mode = sum(comp[: q + 1]) - 1
         alpha = contract_leave_mode(Y2, factors, free_mode)
         supports.append(top_k_magnitude(alpha, k))
     return supports, value
-
-
-def _disjoint_tuples(n: int, t: int, composition: tuple[int, ...]):
-    """Ordered tuples of U_t candidates with pairwise-disjoint supports.
-
-    Factor q occupies composition[q] modes; flipping it scales the product by
-    (-1)^{composition[q]}, so the sign-pruning parity is per factor, not the
-    global tensor order.
-    """
-
-    def rec(prefix: tuple, used: frozenset[int]):
-        if len(prefix) == len(composition):
-            yield prefix
-            return
-        parity = composition[len(prefix)]
-        for cand in enumerate_candidates(n, t, used, parity):
-            yield from rec(prefix + (cand,), used | set(cand.support))
-
-    yield from rec((), frozenset())
 
 
 def threshold_lambda(

@@ -9,7 +9,7 @@ combinations (O(prod t_i) work instead of O(n^p)).
 
 from __future__ import annotations
 
-import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -63,6 +63,34 @@ def unflatten(idx: int, n: int, p: int) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
+# (modes, flat indices, coefficients): the nonzeros of a product of sparse
+# factors spanning `modes` consecutive modes, indices over n**modes entries
+SparseTerms = tuple[int, list[int], list[float]]
+
+
+def sign_terms(support: tuple[int, ...], signs: tuple[int, ...]) -> SparseTerms:
+    """One-mode terms of the U_t vector with this 1-based support and these signs."""
+    mag = 1.0 / math.sqrt(len(support))
+    return 1, [i - 1 for i in support], [s * mag for s in signs]
+
+
+def sparse_terms(n: int, factors: list[SparseTerms], scale: float = 1.0) -> SparseTerms:
+    """Flat indices and coefficients of the nonzeros of scale * f_1 x ... x f_m.
+
+    Each factor is a :data:`SparseTerms` block, from :func:`sign_terms` or an
+    earlier call, so a product over several modes can be built once and
+    reused. Terms come in lexicographic order of the factors' own terms, and
+    each coefficient is scale * c_1 * ... * c_m multiplied left to right.
+    """
+    modes, idx, coeffs = 0, [0], [scale]
+    for f_modes, f_idx, f_coeffs in factors:
+        stride = n**f_modes
+        idx = [x * stride + i for x in idx for i in f_idx]
+        coeffs = [x * c for x in coeffs for c in f_coeffs]
+        modes += f_modes
+    return modes, idx, coeffs
+
+
 @dataclass(frozen=True)
 class SparseSignVector:
     """Element of U_t: t-sparse flat vector with entries in {-1/sqrt(t), 0, +1/sqrt(t)}.
@@ -92,11 +120,6 @@ class SparseSignVector:
     @property
     def t(self) -> int:
         return len(self.support)
-
-    def entries(self) -> list[tuple[int, float]]:
-        """(1-based index, value) pairs of the nonzero entries."""
-        mag = 1.0 / np.sqrt(self.t)
-        return [(i, s * mag) for i, s in zip(self.support, self.signs)]
 
     def to_dense(self) -> np.ndarray:
         v = np.zeros(self.n)
@@ -198,15 +221,10 @@ def rank1_inner(Y: DenseTensor, factors: list[FactorVector]) -> float:
     for v in factors:
         _check_factor(Y, v)
     if all(isinstance(v, SparseSignVector) for v in factors):
-        n = Y.n
+        _, idx, coeffs = sparse_terms(Y.n, [sign_terms(v.support, v.signs) for v in factors])
         total = 0.0
-        for combo in itertools.product(*(v.entries() for v in factors)):
-            idx = 0
-            coeff = 1.0
-            for i, val in combo:
-                idx = idx * n + (i - 1)
-                coeff *= val
-            total += coeff * Y.data[idx]
+        for c, y in zip(coeffs, Y.data[idx].tolist()):
+            total += c * y
         return total
     acc = Y.as_ndarray()
     for v in factors:
@@ -238,20 +256,16 @@ def contract_leave_mode(
         _check_factor(Y, v)
     n = Y.n
     if all(isinstance(v, SparseSignVector) for v in fixed):
-        nd = Y.as_ndarray()
+        # the free mode enters as index 0 with coefficient 1, so each term's
+        # slice starts at its flat index and steps by the free mode's stride
+        free = (1, [0], [1.0])
+        blocks = [free if m == free_mode else sign_terms(v.support, v.signs)
+                  for m, v in enumerate(factors)]
+        _, idx, coeffs = sparse_terms(n, blocks)
+        stride = n ** (Y.p - 1 - free_mode)
         alpha = np.zeros(n)
-        for combo in itertools.product(*(v.entries() for v in fixed)):
-            coeff = 1.0
-            key: list = []
-            ci = iter(combo)
-            for m in range(Y.p):
-                if m == free_mode:
-                    key.append(slice(None))
-                else:
-                    i, val = next(ci)
-                    key.append(i - 1)
-                    coeff *= val
-            alpha += coeff * nd[tuple(key)]
+        for i, c in zip(idx, coeffs):
+            alpha += c * Y.data[i : i + n * stride : stride]
         return alpha
     acc = Y.as_ndarray()
     # contract fixed modes back to front; lower axis indices stay put
@@ -273,13 +287,9 @@ def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseT
     n = Y.n
     out = Y.data.copy()
     if all(isinstance(v, SparseSignVector) for v in factors):
-        for combo in itertools.product(*(v.entries() for v in factors)):
-            idx = 0
-            coeff = lam
-            for i, val in combo:
-                idx = idx * n + (i - 1)
-                coeff *= val
-            out[idx] += coeff
+        # the terms have distinct indices, so one fancy-indexed add is exact
+        _, idx, coeffs = sparse_terms(n, [sign_terms(v.support, v.signs) for v in factors], lam)
+        out[idx] += coeffs
         return DenseTensor(n, Y.p, out)
     spike = factors[0].to_dense()
     for v in factors[1:]:
@@ -298,17 +308,27 @@ def write_sstf1(Y: DenseTensor, path: str) -> None:
 
 
 def read_sstf1(path: str) -> DenseTensor:
-    """Read an SSTF1 file; round-trips bit-exactly with :func:`write_sstf1`."""
+    """Read an SSTF1 file; round-trips bit-exactly with :func:`write_sstf1`.
+
+    A short header, a short payload or bytes after the payload raise
+    ValueError.
+    """
     with open(path, "rb") as f:
-        magic = f.read(5)
+        header = f.read(14)  # magic, version byte, then p and n as little-endian uint32
+        magic = header[:5]
         if magic != SSTF1_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {SSTF1_MAGIC!r}")
-        version = f.read(1)
+        version = header[5:6]
         if version != bytes([SSTF1_VERSION]):
             raise ValueError(f"unsupported version byte {version!r}")
-        p, n = struct.unpack("<II", f.read(8))
+        if len(header) != 14:
+            raise ValueError(f"truncated header: {len(header)} of 14 bytes")
+        p, n = struct.unpack("<II", header[6:])
         size = check_capacity(n, p)
-        data = np.frombuffer(f.read(size * 8), dtype="<f8")
-        if data.shape != (size,):
+        payload = f.read(size * 8)
+        if len(payload) != size * 8:
             raise ValueError(f"truncated file: expected {size} doubles")
-    return DenseTensor(n, p, data.astype(np.float64))
+        if f.read(1):
+            raise ValueError(f"trailing bytes after {size} doubles")
+    # the constructor copies, so the read-only buffer view is never kept
+    return DenseTensor(n, p, np.frombuffer(payload, dtype="<f8"))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stpca.cli import main
+from stpca.tensor import DenseTensor, write_sstf1
 
 
 def run_cli(capsys, *argv):
@@ -138,3 +139,42 @@ class TestConcentrationCommand:
         doc = json.loads(out)
         assert doc["failure_fraction"] <= 0.4
         assert doc["bound"] > 0
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def sstf(self, tmp_path):
+        path = tmp_path / "y.sstf"
+        write_sstf1(DenseTensor.zeros(4, 3), str(path))
+        return path
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: raw[:10], lambda raw: raw[:-8], lambda raw: raw + b"\0"],
+        ids=["truncated-header", "truncated-payload", "trailing-bytes"],
+    )
+    def test_runtime_error_exit_2(self, sstf, capsys, damage):
+        sstf.write_bytes(damage(sstf.read_bytes()))
+        code, out, err = run_cli(
+            capsys, "recover", "--in", str(sstf), "--k", "2", "--t", "1", "--seed", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("stpca: error:")
+
+
+class TestTruthMismatch:
+    def test_count_mismatch_reported(self, tmp_path, capsys):
+        path = str(tmp_path / "two.sstf")
+        code, _, _ = run_cli(
+            capsys, "sample", "--n", "12", "--p", "3", "--k", "3", "--r", "2",
+            "--lambda", "80", "--seed", "2", "--out", path,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "recover", "--in", path, "--k", "3", "--t", "1", "--seed", "2",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["truth_mismatch"] == {"truth": 2, "recovered": 1}
+        assert "matching" not in doc

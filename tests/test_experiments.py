@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stpca import experiments
 from stpca.experiments import (
     CSV_HEADER,
     ConcentrationReport,
@@ -86,6 +87,16 @@ class TestPhaseDiagram:
         assert all(r["error"] for r in bad)
         good = [r for r in rows if r["t"] == "1"]
         assert all(not r["error"] for r in good)
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only domain errors (ValueError) become error rows; a bug must not
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(experiments, "recover_multi", broken)
+        out = str(tmp_path / "bug.csv")
+        with pytest.raises(TypeError):
+            run_phase_diagram(small_config(trials=1), out)
 
     def test_trial_seed_deterministic(self):
         assert trial_seed(1, 2, 3) == trial_seed(1, 2, 3)

@@ -1,0 +1,169 @@
+"""Differential tests of the ranked family scorer against enumeration oracles.
+
+The oracles score every family member with the sparse ``rank1_inner`` in rank
+order and keep the first maximum: U_t members come from
+``enumerate_candidates``, general-spike tuples from the recursive
+disjoint-tuple enumeration below. Sums run in a different order than the
+scorer's, so values agree to rounding while members must agree exactly.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stpca.experiments import check_concentration, trial_seed
+from stpca.model import sample_noise_tensor
+from stpca.recovery import (
+    EnumerationError,
+    argmax_over_family,
+    argmax_over_Ut,
+    enumerate_candidates,
+    family_chunks,
+    preprocess_split,
+    recover_general,
+)
+from stpca.tensor import DenseTensor, rank1_inner
+
+REL = 1e-12
+
+
+def oracle_compositions(p, ell):
+    for cuts in itertools.combinations(range(1, p), ell - 1):
+        bounds = (0, *cuts, p)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def oracle_disjoint_tuples(n, t, composition, forbidden=frozenset()):
+    """Ordered tuples of U_t candidates with pairwise-disjoint supports.
+
+    Factor q occupies composition[q] modes; flipping it scales the product by
+    (-1)^{composition[q]}, so the sign-pruning parity is per factor.
+    """
+
+    def rec(prefix, used):
+        if len(prefix) == len(composition):
+            yield prefix
+            return
+        parity = composition[len(prefix)]
+        for cand in enumerate_candidates(n, t, used, parity):
+            yield from rec(prefix + (cand,), used | set(cand.support))
+
+    yield from rec((), frozenset(forbidden))
+
+
+def oracle_family(n, p, t, ell, forbidden=frozenset()):
+    """(composition, candidates, factors) of every member, in rank order."""
+    for comp in oracle_compositions(p, ell):
+        for cands in oracle_disjoint_tuples(n, t, comp, forbidden):
+            factors = [c for c, m in zip(cands, comp) for _ in range(m)]
+            yield comp, cands, factors
+
+
+def oracle_argmax(Y, t, ell, forbidden=frozenset()):
+    best = None
+    for comp, cands, factors in oracle_family(Y.n, Y.p, t, ell, forbidden):
+        value = rank1_inner(Y, factors)
+        if best is None or value > best[0]:
+            best = (value, comp, tuple((c.support, c.signs) for c in cands))
+    return best
+
+
+def random_tensor(n, p, seed):
+    return DenseTensor(n, p, np.random.default_rng(seed).standard_normal(n**p))
+
+
+seeds = st.integers(0, 2**32 - 1)
+chunk_sizes = st.sampled_from([1, 7, 4096])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    t=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    forbidden_bits=st.integers(0, 2**6 - 1),
+    seed=seeds,
+    chunk_size=chunk_sizes,
+)
+def test_argmax_over_Ut_matches_oracle(p, t, extra, forbidden_bits, seed, chunk_size):
+    forbidden = frozenset(i + 1 for i in range(6) if forbidden_bits >> i & 1)
+    n = t + len(forbidden) + extra
+    Y = random_tensor(n, p, seed)
+    v, value = argmax_over_Ut(Y, t, forbidden, chunk_size=chunk_size)
+    o_value, _, ((o_support, o_signs),) = oracle_argmax(Y, t, 1, forbidden)
+    assert (v.support, v.signs) == (o_support, o_signs)
+    assert value == pytest.approx(o_value, rel=REL, abs=REL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    ell=st.integers(1, 4),
+    t=st.integers(1, 2),
+    extra=st.integers(0, 2),
+    seed=seeds,
+    chunk_size=chunk_sizes,
+)
+def test_general_family_matches_oracle(p, ell, t, extra, seed, chunk_size):
+    ell = min(ell, p)
+    t = 1 if ell > 2 else t  # keeps ordered 3- and 4-tuples to a few thousand
+    n = ell * t + extra
+    Y = random_tensor(n, p, seed)
+    value, (comp, cands) = argmax_over_family(
+        Y.data, family_chunks(n, p, t, ell, chunk_size=chunk_size)
+    )
+    o_value, o_comp, o_cands = oracle_argmax(Y, t, ell)
+    assert (comp, cands) == (o_comp, o_cands)
+    assert value == pytest.approx(o_value, rel=REL, abs=REL)
+
+
+def test_recover_general_value_is_oracle_best():
+    n, p, k, t, ell, seed = 8, 3, 2, 2, 2, 21
+    Y = random_tensor(n, p, seed)
+    Y1, _ = preprocess_split(Y, seed)
+    _, value = recover_general(Y, k, t, ell, seed)
+    assert value == pytest.approx(oracle_argmax(Y1, t, ell)[0], rel=REL)
+
+
+def test_all_ties_pick_first_member():
+    # every member scores 0: the first composition and first tuple win
+    Y = DenseTensor.zeros(5, 3)
+    value, (comp, cands) = argmax_over_family(Y.data, family_chunks(5, 3, 1, 3, chunk_size=7))
+    first_comp, first_cands, _ = next(oracle_family(5, 3, 1, 3))
+    assert value == 0.0
+    assert (comp, cands) == (first_comp, tuple((c.support, c.signs) for c in first_cands))
+
+
+def test_family_size_matches_oracle():
+    for n, p, t, ell in [(6, 3, 2, 2), (5, 4, 1, 3), (7, 2, 3, 1)]:
+        size = sum(len(members) for members, _, _ in family_chunks(n, p, t, ell, chunk_size=5))
+        assert size == sum(1 for _ in oracle_family(n, p, t, ell))
+
+
+def test_too_few_free_coordinates():
+    with pytest.raises(EnumerationError):
+        next(family_chunks(5, 3, 2, 3))
+    with pytest.raises(EnumerationError):
+        argmax_over_Ut(DenseTensor.zeros(4, 2), 2, {1, 2, 3})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    r=st.sampled_from([1, 2]),
+    t=st.integers(1, 2),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**62),
+)
+def test_concentration_maxima_match_oracle(p, r, t, extra, seed):
+    n = r * t + extra
+    trials = 2
+    report = check_concentration(n, p, t, r, 0.05, trials, seed)
+    members = [factors for _, _, factors in oracle_family(n, p, t, r)]
+    for trial, got in enumerate(report.per_trial_max):
+        W = sample_noise_tensor(n, p, trial_seed(seed, 0, trial))
+        expected = max(abs(rank1_inner(W, factors)) for factors in members)
+        assert got == pytest.approx(expected, rel=REL, abs=REL)

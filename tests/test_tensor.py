@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,33 @@ class TestSerialization:
             f.write(b"NOPE!" + bytes(20))
         with pytest.raises(ValueError):
             read_sstf1(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        p=st.integers(2, 3),
+        data=st.data(),
+    )
+    def test_round_trip_any_doubles(self, n, p, data):
+        values = data.draw(
+            st.lists(st.floats(width=64), min_size=n**p, max_size=n**p)
+        )
+        Y = DenseTensor(n, p, np.array(values, dtype=np.float64))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "y.sstf")
+            write_sstf1(Y, path)
+            Z = read_sstf1(path)
+        assert (Z.n, Z.p) == (n, p)
+        assert Z.data.tobytes() == Y.data.tobytes()  # bit-exact, NaN payloads too
+
+    @settings(max_examples=50, deadline=None)
+    @given(cut=st.integers(0, 14 + 8 * 8 - 1), extra=st.binary(min_size=1, max_size=9))
+    def test_truncated_or_padded_file_rejected(self, cut, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.sstf"
+            write_sstf1(DenseTensor(2, 3, np.arange(8.0)), str(path))
+            raw = path.read_bytes()
+            for bad in (raw[:cut], raw + extra):
+                path.write_bytes(bad)
+                with pytest.raises(ValueError):
+                    read_sstf1(str(path))
