@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: sample, recover, lowdeg, itbound, phase, check-concentration.
-Exit codes: 0 success, 1 usage error, 2 runtime error. Worker counts default
-to the STPCA_WORKERS environment variable.
+Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("STPCA_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -58,12 +57,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_recover(args) -> int:
     Y = tensor.read_sstf1(args.infile)
-    workers = args.workers or _default_workers()
     if args.ell > 1:
         recovered, value = recovery.recover_general(Y, args.k, args.t, args.ell, args.seed)
         values = [value]
     else:
-        recovered, values = recovery.recover_multi(Y, args.k, args.t, args.r, args.seed, workers)
+        recovered, values = recovery.recover_multi(
+            Y, args.k, args.t, args.r, args.seed, args.workers
+        )
     doc: dict = {
         "recovered": [sorted(s) for s in recovered],
         "argmax_values": values,
@@ -117,8 +117,7 @@ def _cmd_itbound(args) -> int:
 
 def _cmd_phase(args) -> int:
     config = experiments.PhaseConfig.from_json_file(args.config)
-    workers = args.workers or _default_workers()
-    count = experiments.run_phase_diagram(config, args.out, workers)
+    count = experiments.run_phase_diagram(config, args.out, args.workers)
     print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--r", type=int, default=1)
     pr.add_argument("--ell", type=int, default=1)
     pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--workers", type=int, default=0, help="0 = use STPCA_WORKERS")
+    pr.add_argument("--workers", type=_positive_int, default=1)
     pr.add_argument("--out")
     pr.set_defaults(func=_cmd_recover)
 
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("phase", help="run a phase-diagram sweep to CSV")
     pp.add_argument("--config", required=True, help="PhaseConfig JSON file")
     pp.add_argument("--out", required=True)
-    pp.add_argument("--workers", type=int, default=0, help="0 = use STPCA_WORKERS")
+    pp.add_argument("--workers", type=_positive_int, default=1)
     pp.set_defaults(func=_cmd_phase)
 
     pc = sub.add_parser("check-concentration",

@@ -204,11 +204,10 @@ def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
     """Sample Y = W + sum_q strengths[q] * x_q^{xp} with disjoint truth supports."""
     if spec.mode == "general":
         raise ValueError("use sample_general_instance for general-mode specs")
-    noise = sample_noise_tensor(spec.n, spec.p, seed)
+    Y = sample_noise_tensor(spec.n, spec.p, seed)
     supports = _disjoint_supports(spec.n, [spec.k] * spec.r, substream(seed, "supports"))
     sign_rng = substream(seed, "signs")
     signals: list[PlantedSignal] = []
-    Y = noise
     for q in range(spec.r):
         if spec.mode == "flat":
             signs = sign_rng.choice([-1, 1], size=spec.k)
@@ -240,7 +239,7 @@ def sample_general_instance(
     if not 1 <= ell <= p:
         raise ValueError(f"need 1 <= ell <= p, got ell={ell}")
     spec = SignalSpec(n=n, p=p, k=k, r=1, strengths=(lam,), mode="general", ell=ell)
-    noise = sample_noise_tensor(n, p, seed)
+    Y = sample_noise_tensor(n, p, seed)
     comp_rng = substream(seed, "composition")
     # uniform composition: choose ell-1 cut points among p-1 gaps
     cuts = np.sort(comp_rng.choice(p - 1, size=ell - 1, replace=False)) + 1
@@ -252,7 +251,6 @@ def sample_general_instance(
         make_flat_signal(n, supports[q], sign_rng.choice([-1, 1], size=k)) for q in range(ell)
     )
     signal = PlantedSignal(lam, factors, composition)
-    Y = noise
     if lam != 0.0:
         Y = add_rank1(Y, lam, signal.mode_factors(p))
     return SstmInstance(Y, (signal,), seed, spec)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ from .tensor import (
     contract_leave_mode,
     contract_leave_one,
     rank1_inner,
-    sign_terms,
-    sparse_terms,
 )
 
 
@@ -141,6 +138,34 @@ def _compositions(p: int, ell: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
+# (modes, flat indices, coefficients): the nonzeros of a product of sparse
+# factors spanning `modes` consecutive modes, indices over n**modes entries
+_SparseTerms = tuple[int, list[int], list[float]]
+
+
+def _sign_terms(support: tuple[int, ...], signs: tuple[int, ...]) -> _SparseTerms:
+    """One-mode terms of the U_t vector with this 1-based support and these signs."""
+    mag = 1.0 / math.sqrt(len(support))
+    return 1, [i - 1 for i in support], [s * mag for s in signs]
+
+
+def _sparse_terms(n: int, factors: list[_SparseTerms]) -> _SparseTerms:
+    """Flat indices and coefficients of the nonzeros of f_1 x ... x f_m.
+
+    Each factor is a :data:`_SparseTerms` block, from :func:`_sign_terms` or
+    an earlier call, so a product over several modes can be built once and
+    reused. Terms come in lexicographic order of the factors' own terms, and
+    each coefficient is c_1 * ... * c_m multiplied left to right.
+    """
+    modes, idx, coeffs = 0, [0], [1.0]
+    for f_modes, f_idx, f_coeffs in factors:
+        stride = n**f_modes
+        idx = [x * stride + i for x in idx for i in f_idx]
+        coeffs = [x * c for x in coeffs for c in f_coeffs]
+        modes += f_modes
+    return modes, idx, coeffs
+
+
 def _members(n: int, p: int, t: int, ell: int, allowed: list[int]):
     """(composition, candidates, terms) of every family member, in rank order.
 
@@ -154,14 +179,14 @@ def _members(n: int, p: int, t: int, ell: int, allowed: list[int]):
     for comp in _compositions(p, ell):
         if ell == 1:
             for cand in _candidates(allowed, t, p):
-                yield comp, (cand,), sparse_terms(n, [sign_terms(*cand)] * p)
+                yield comp, (cand,), _sparse_terms(n, [_sign_terms(*cand)] * p)
             continue
-        parts = [[(c, sparse_terms(n, [sign_terms(*c)] * m)) for c in _candidates(allowed, t, m)]
+        parts = [[(c, _sparse_terms(n, [_sign_terms(*c)] * m)) for c in _candidates(allowed, t, m)]
                  for m in comp]
         for combo in itertools.product(*parts):
             cands = tuple(cand for cand, _ in combo)
             if len({i for support, _ in cands for i in support}) == ell * t:
-                yield comp, cands, sparse_terms(n, [terms for _, terms in combo])
+                yield comp, cands, _sparse_terms(n, [terms for _, terms in combo])
 
 
 def family_chunks(
@@ -382,18 +407,3 @@ def distinguish(Y: DenseTensor, xhat: DenseUnitVector, k: int, C: float = 2.0) -
     stat = abs(rank1_inner(Y, [xhat] * Y.p))
     return "planted" if stat >= C * math.sqrt(k * math.log(Y.n)) else "null"
 
-
-def recover_and_report(
-    Y: DenseTensor,
-    k: int,
-    t: int,
-    r: int,
-    seed: int,
-    truth: list[frozenset[int]],
-    workers: int = 1,
-) -> RecoveryReport:
-    """Run multi-spike recovery and match against known truth supports."""
-    start = time.perf_counter()
-    recovered, values = recover_multi(Y, k, t, r, seed, workers)
-    elapsed = time.perf_counter() - start
-    return match_supports(recovered, truth, values, [elapsed])

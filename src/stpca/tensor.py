@@ -3,13 +3,15 @@
 Tensors are stored flat in lexicographic ("row-major") order over 1-based
 p-tuples; linear indices are 0-based. All recovery algorithms are built on
 three primitives: rank-one inner products, leave-one-mode contractions, and
-rank-one updates. When every factor is sparse these touch only support
-combinations (O(prod t_i) work instead of O(n^p)).
+rank-one updates. Each factor reports its nonzeros with ``nonzeros()``, and
+each primitive has one path: it reads or updates only the block of the
+tensor on the product of the factors' supports (a free mode takes all n
+indices), so k-sparse factors cost O(k^p) work instead of O(n^p).
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -63,34 +65,6 @@ def unflatten(idx: int, n: int, p: int) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
-# (modes, flat indices, coefficients): the nonzeros of a product of sparse
-# factors spanning `modes` consecutive modes, indices over n**modes entries
-SparseTerms = tuple[int, list[int], list[float]]
-
-
-def sign_terms(support: tuple[int, ...], signs: tuple[int, ...]) -> SparseTerms:
-    """One-mode terms of the U_t vector with this 1-based support and these signs."""
-    mag = 1.0 / math.sqrt(len(support))
-    return 1, [i - 1 for i in support], [s * mag for s in signs]
-
-
-def sparse_terms(n: int, factors: list[SparseTerms], scale: float = 1.0) -> SparseTerms:
-    """Flat indices and coefficients of the nonzeros of scale * f_1 x ... x f_m.
-
-    Each factor is a :data:`SparseTerms` block, from :func:`sign_terms` or an
-    earlier call, so a product over several modes can be built once and
-    reused. Terms come in lexicographic order of the factors' own terms, and
-    each coefficient is scale * c_1 * ... * c_m multiplied left to right.
-    """
-    modes, idx, coeffs = 0, [0], [scale]
-    for f_modes, f_idx, f_coeffs in factors:
-        stride = n**f_modes
-        idx = [x * stride + i for x in idx for i in f_idx]
-        coeffs = [x * c for x in coeffs for c in f_coeffs]
-        modes += f_modes
-    return modes, idx, coeffs
-
-
 @dataclass(frozen=True)
 class SparseSignVector:
     """Element of U_t: t-sparse flat vector with entries in {-1/sqrt(t), 0, +1/sqrt(t)}.
@@ -121,11 +95,14 @@ class SparseSignVector:
     def t(self) -> int:
         return len(self.support)
 
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based indices and values of the nonzero entries, in index order."""
+        return np.array(self.support) - 1, np.array(self.signs) * (1.0 / np.sqrt(self.t))
+
     def to_dense(self) -> np.ndarray:
         v = np.zeros(self.n)
-        mag = 1.0 / np.sqrt(self.t)
-        for i, s in zip(self.support, self.signs):
-            v[i - 1] = s * mag
+        idx, vals = self.nonzeros()
+        v[idx] = vals
         return v
 
 
@@ -140,6 +117,8 @@ class DenseUnitVector:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.n,):
             raise DimensionMismatchError(f"expected shape ({self.n},), got {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError("entries must be finite")
         object.__setattr__(self, "values", vals)
         norm = float(np.linalg.norm(vals))
         if abs(norm - 1.0) > 1e-12:
@@ -152,6 +131,11 @@ class DenseUnitVector:
     def support_set(self) -> frozenset[int]:
         """1-based indices of nonzero entries."""
         return frozenset(int(i) + 1 for i in np.nonzero(self.values)[0])
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based indices and values of the nonzero entries, in index order."""
+        idx = np.flatnonzero(self.values)
+        return idx, self.values[idx]
 
     def to_dense(self) -> np.ndarray:
         return self.values
@@ -210,35 +194,50 @@ def _check_factor(Y: DenseTensor, v: FactorVector) -> None:
         raise DimensionMismatchError(f"factor dimension {v.n} != tensor dimension {Y.n}")
 
 
-def rank1_inner(Y: DenseTensor, factors: list[FactorVector]) -> float:
-    """<Y, u_1 x ... x u_p>, the rank-one inner product.
+def _support_block(
+    Y: DenseTensor, factors: list[FactorVector], free_mode: int | None = None
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """np.ix_ index of Y's block on the product of the factors' supports, and values.
 
-    When all factors are sparse, only support combinations are touched.
-    Otherwise falls back to dense mode-by-mode contraction.
+    values holds the nonzero values of each factor but the free one, in mode
+    order. The free mode, if any, takes all n indices and its factor is ignored.
     """
     if len(factors) != Y.p:
         raise DimensionMismatchError(f"need {Y.p} factors, got {len(factors)}")
-    for v in factors:
+    axes, values = [], []
+    for m, v in enumerate(factors):
+        if m == free_mode:
+            axes.append(np.arange(Y.n))
+            continue
         _check_factor(Y, v)
-    if all(isinstance(v, SparseSignVector) for v in factors):
-        _, idx, coeffs = sparse_terms(Y.n, [sign_terms(v.support, v.signs) for v in factors])
-        total = 0.0
-        for c, y in zip(coeffs, Y.data[idx].tolist()):
-            total += c * y
-        return total
-    acc = Y.as_ndarray()
-    for v in factors:
-        acc = np.tensordot(acc, v.to_dense(), axes=([0], [0]))
-    return float(acc)
+        idx, vals = v.nonzeros()
+        axes.append(idx)
+        values.append(vals)
+    return np.ix_(*axes), values
 
 
-def contract_leave_one(Y: DenseTensor, v: SparseSignVector) -> np.ndarray:
+def _contract(Y: DenseTensor, factors: list[FactorVector], free_mode: int | None = None):
+    """Contract the support block with the factor values; the free mode stays."""
+    block, values = _support_block(Y, factors, free_mode)
+    acc = Y.as_ndarray()[block]
+    if free_mode is not None:
+        acc = np.moveaxis(acc, free_mode, 0)
+    for vals in reversed(values):
+        acc = acc @ vals
+    return acc
+
+
+def rank1_inner(Y: DenseTensor, factors: list[FactorVector]) -> float:
+    """<Y, u_1 x ... x u_p>, the rank-one inner product over the support block."""
+    return float(_contract(Y, factors))
+
+
+def contract_leave_one(Y: DenseTensor, v: FactorVector) -> np.ndarray:
     """alpha with alpha_l = <Y, v^{x(p-1)} x e_l>; the free slot is the last mode.
 
-    One pass costing O(t^{p-1} * n).
+    One pass costing O(k^{p-1} * n) for a k-sparse v.
     """
-    _check_factor(Y, v)
-    return contract_leave_mode(Y, [v] * (Y.p - 1) + [v], Y.p - 1)
+    return contract_leave_mode(Y, [v] * Y.p, Y.p - 1)
 
 
 def contract_leave_mode(
@@ -246,56 +245,23 @@ def contract_leave_mode(
 ) -> np.ndarray:
     """All n values of <Y, u_1 x ... x e_l at free_mode x ... x u_p>.
 
-    factors[free_mode] is ignored. Sparse factors contribute only their
-    support combinations; dense factors force a dense contraction.
+    factors[free_mode] is ignored. Only the block on the other factors'
+    supports, times all n indices of the free mode, is read.
     """
-    if len(factors) != Y.p:
-        raise DimensionMismatchError(f"need {Y.p} factors, got {len(factors)}")
-    fixed = [v for m, v in enumerate(factors) if m != free_mode]
-    for v in fixed:
-        _check_factor(Y, v)
-    n = Y.n
-    if all(isinstance(v, SparseSignVector) for v in fixed):
-        # the free mode enters as index 0 with coefficient 1, so each term's
-        # slice starts at its flat index and steps by the free mode's stride
-        free = (1, [0], [1.0])
-        blocks = [free if m == free_mode else sign_terms(v.support, v.signs)
-                  for m, v in enumerate(factors)]
-        _, idx, coeffs = sparse_terms(n, blocks)
-        stride = n ** (Y.p - 1 - free_mode)
-        alpha = np.zeros(n)
-        for i, c in zip(idx, coeffs):
-            alpha += c * Y.data[i : i + n * stride : stride]
-        return alpha
-    acc = Y.as_ndarray()
-    # contract fixed modes back to front; lower axis indices stay put
-    for m in reversed(range(Y.p)):
-        if m == free_mode:
-            continue
-        acc = np.tensordot(acc, factors[m].to_dense(), axes=([m], [0]))
-    return np.asarray(acc, dtype=np.float64)
+    return _contract(Y, factors, free_mode)
 
 
 def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseTensor:
-    """Return Y + lam * u_1 x ... x u_p as a new tensor."""
-    if len(factors) != Y.p:
-        raise DimensionMismatchError(f"need {Y.p} factors, got {len(factors)}")
-    for v in factors:
-        _check_factor(Y, v)
-    if lam == 0.0:
-        return DenseTensor(Y.n, Y.p, Y.data)
-    n = Y.n
+    """Return Y + lam * u_1 x ... x u_p as a new tensor.
+
+    Only the support block changes: each of its entries gains lam times the
+    left-to-right product of the factor values, the same float that a dense
+    outer product gives.
+    """
+    block, values = _support_block(Y, factors)
     out = Y.data.copy()
-    if all(isinstance(v, SparseSignVector) for v in factors):
-        # the terms have distinct indices, so one fancy-indexed add is exact
-        _, idx, coeffs = sparse_terms(n, [sign_terms(v.support, v.signs) for v in factors], lam)
-        out[idx] += coeffs
-        return DenseTensor(n, Y.p, out)
-    spike = factors[0].to_dense()
-    for v in factors[1:]:
-        spike = np.multiply.outer(spike, v.to_dense())
-    out += lam * spike.reshape(-1)
-    return DenseTensor(n, Y.p, out)
+    out.reshape((Y.n,) * Y.p)[block] += lam * functools.reduce(np.multiply.outer, values)
+    return DenseTensor(Y.n, Y.p, out)
 
 
 def write_sstf1(Y: DenseTensor, path: str) -> None:

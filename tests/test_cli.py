@@ -31,6 +31,17 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--in", "y.sstf", "--k", "2", "--t", "1", "--seed", "0"],
+        ["phase", "--config", "cfg.json", "--out", "sweep.csv"],
+    ])
+    def test_bad_worker_count_is_usage_error(self, capsys, argv, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestSampleRecover:
     def test_end_to_end_exact(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from stpca.tensor import (
     DimensionMismatchError,
     SparseSignVector,
     add_rank1,
+    contract_leave_mode,
     contract_leave_one,
     flat_index,
     rank1_inner,
@@ -90,6 +92,11 @@ class TestConstruction:
     def test_dense_unit_vector_rejects_non_unit(self):
         with pytest.raises(ValueError):
             DenseUnitVector(3, np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_unit_vector_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            DenseUnitVector(3, np.array([bad, 0.0, 0.0]))
 
 
 class TestRank1Inner:
@@ -202,6 +209,66 @@ class TestAddRank1:
         out = add_rank1(Y, 2.0, [dense, dense])
         expected = Y.as_ndarray() + 2.0 * np.outer(dense.values, dense.values)
         assert np.allclose(out.as_ndarray(), expected, atol=1e-12)
+
+
+@st.composite
+def factor_vectors(draw, n):
+    """A SparseSignVector, a k-sparse DenseUnitVector or a full-support one."""
+    kind = draw(st.sampled_from(["sign", "sparse", "full"]))
+    k = n if kind == "full" else draw(st.integers(1, n))
+    support = sorted(draw(st.permutations(range(1, n + 1)))[:k])
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    if kind == "sign":
+        return SparseSignVector(n, tuple(support), tuple(signs))
+    mags = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    v = np.zeros(n)
+    v[np.array(support) - 1] = np.array(signs) * np.array(mags)
+    return DenseUnitVector(n, v / np.linalg.norm(v))
+
+
+class TestSupportBlockDifferential:
+    """The support-block primitives against full n^p summation."""
+
+    @staticmethod
+    def draw_case(data):
+        p = data.draw(st.sampled_from([2, 3, 4]), label="p")
+        n = data.draw(st.integers(1, 4 if p == 4 else 5), label="n")
+        factors = [data.draw(factor_vectors(n), label=f"factor {m}") for m in range(p)]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        Y = DenseTensor(n, p, np.random.default_rng(seed).standard_normal(n**p))
+        return Y, factors
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rank1_inner_matches_naive(self, data):
+        Y, factors = self.draw_case(data)
+        assert rank1_inner(Y, factors) == pytest.approx(
+            naive_rank1_inner(Y, factors), rel=1e-12, abs=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_contract_leave_mode_matches_naive(self, data):
+        Y, factors = self.draw_case(data)
+        for free_mode in range(Y.p):
+            alpha = contract_leave_mode(Y, factors, free_mode)
+            assert alpha.shape == (Y.n,)
+            for ell in range(1, Y.n + 1):
+                e = SparseSignVector(Y.n, (ell,), (1,))
+                probe = factors[:free_mode] + [e] + factors[free_mode + 1 :]
+                assert alpha[ell - 1] == pytest.approx(
+                    naive_rank1_inner(Y, probe), rel=1e-12, abs=1e-12
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.floats(-50.0, 50.0))
+    def test_add_rank1_equals_dense_outer_exactly(self, data, lam):
+        # the samplers plant DenseUnitVector spikes; this pins their output bits
+        Y, factors = self.draw_case(data)
+        factors = [DenseUnitVector(Y.n, f.to_dense()) for f in factors]
+        spike = functools.reduce(np.multiply.outer, [f.values for f in factors])
+        out = add_rank1(Y, lam, factors)
+        assert np.array_equal(out.data, Y.data + lam * spike.reshape(-1))
 
 
 class TestSerialization:
