@@ -113,8 +113,10 @@ def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[list]:
             inst = sample_sstm(spec, seed)
             Y = inst.observation
             if config.noise_scale != 1.0:
-                noise = sample_noise_tensor(n, p, seed)
-                Y = DenseTensor(n, p, Y.data + (config.noise_scale - 1.0) * noise.data)
+                # Y + (scale - 1) * W, summed into the scaled noise's own buffer
+                data = (config.noise_scale - 1.0) * sample_noise_tensor(n, p, seed).data
+                data += Y.data
+                Y = DenseTensor._owned(n, p, data)
             start = time.perf_counter()
             recovered, values = recover_multi(Y, k, t, r, seed)
             runtime_ms = (time.perf_counter() - start) * 1000.0

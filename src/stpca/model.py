@@ -145,7 +145,7 @@ def sample_noise_tensor(n: int, p: int, seed: int) -> DenseTensor:
     """I.i.d. N(0,1) tensor from the "noise" sub-stream of `seed`."""
     size = check_capacity(n, p)
     rng = substream(seed, "noise")
-    return DenseTensor(n, p, rng.standard_normal(size))
+    return DenseTensor._owned(n, p, rng.standard_normal(size))
 
 
 def make_flat_signal(n: int, support, signs) -> DenseUnitVector:

@@ -86,13 +86,17 @@ class RecoveryReport:
 
 
 def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, DenseTensor]:
-    """Split Y into two independent copies Y1 = (Y+Z)/sqrt2, Y2 = (Y-Z)/sqrt2."""
+    """Split Y into two independent copies Y1 = (Y+Z)/sqrt2, Y2 = (Y-Z)/sqrt2.
+
+    Allocates two tensor-sized buffers, Y1 and Z; Y2 is computed in Z's.
+    """
     Z = substream(seed, "split").standard_normal(Y.data.shape[0])
     s = 1.0 / np.sqrt(2.0)
-    return (
-        DenseTensor(Y.n, Y.p, (Y.data + Z) * s),
-        DenseTensor(Y.n, Y.p, (Y.data - Z) * s),
-    )
+    Y1 = np.add(Y.data, Z)
+    Y1 *= s
+    np.subtract(Y.data, Z, out=Z)
+    Z *= s
+    return DenseTensor._owned(Y.n, Y.p, Y1), DenseTensor._owned(Y.n, Y.p, Z)
 
 
 def candidate_count(n: int, t: int, n_forbidden: int, p: int) -> int:
@@ -240,10 +244,15 @@ def argmax_over_family(data: np.ndarray, family, workers: int = 1):
         j = int(np.argmax(values))  # np.argmax returns the first max: rank tie-break
         return float(values[j]), members[j]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        scored = pool.map(best_in, family) if workers > 1 else map(best_in, family)
-        # max keeps the first of equal values: the rank tie-break across chunks
-        return max(scored, key=lambda s: s[0])
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(best_in, family))
+    else:
+        scored = map(best_in, family)
+    # max keeps the first of equal values: the rank tie-break across chunks
+    return max(scored, key=lambda s: s[0])
 
 
 def argmax_over_Ut(

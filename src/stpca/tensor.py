@@ -7,6 +7,15 @@ rank-one updates. Each factor reports its nonzeros with ``nonzeros()``, and
 each primitive has one path: it reads or updates only the block of the
 tensor on the product of the factors' supports (a free mode takes all n
 indices), so k-sparse factors cost O(k^p) work instead of O(n^p).
+
+Copy contract: the public ``DenseTensor(n, p, data)`` copies ``data`` and
+freezes the copy, so a caller's array never aliases a tensor. A buffer the
+library has just allocated (sampled noise, the output of :func:`add_rank1`,
+the split halves, a file read back) is wrapped with ``DenseTensor._owned``,
+which runs the same checks and freezes it without a copy. Sampling therefore
+peaks at two tensor sizes (the noise and the copy that :func:`add_rank1`
+makes), SSTF1 I/O streams without an extra copy, and a recovery holds
+``Y1`` and ``Y2`` beside the caller's ``Y``.
 """
 
 from __future__ import annotations
@@ -153,17 +162,33 @@ class DenseTensor:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "data", self._frozen(np.array(self.data, dtype=np.float64)))
+
+    def _frozen(self, data: np.ndarray) -> np.ndarray:
+        """Check data's dtype and shape against (n, p), then make it read-only."""
         size = check_capacity(self.n, self.p)
-        data = np.asarray(self.data, dtype=np.float64)
+        if data.dtype != np.float64:
+            raise ValueError(f"expected float64 entries, got {data.dtype}")
         if data.shape != (size,):
             raise ValueError(f"expected {size} entries, got shape {data.shape}")
-        data = data.copy()
         data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        return data
+
+    @classmethod
+    def _owned(cls, n: int, p: int, data: np.ndarray) -> DenseTensor:
+        """Wrap a buffer the library has just allocated, without copying it.
+
+        The caller hands data over: nothing else may write to it afterwards.
+        """
+        Y = object.__new__(cls)
+        object.__setattr__(Y, "n", n)
+        object.__setattr__(Y, "p", p)
+        object.__setattr__(Y, "data", Y._frozen(data))
+        return Y
 
     @classmethod
     def zeros(cls, n: int, p: int) -> DenseTensor:
-        return cls(n, p, np.zeros(check_capacity(n, p)))
+        return cls._owned(n, p, np.zeros(check_capacity(n, p)))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> DenseTensor:
@@ -261,7 +286,7 @@ def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseT
     block, values = _support_block(Y, factors)
     out = Y.data.copy()
     out.reshape((Y.n,) * Y.p)[block] += lam * functools.reduce(np.multiply.outer, values)
-    return DenseTensor(Y.n, Y.p, out)
+    return DenseTensor._owned(Y.n, Y.p, out)
 
 
 def write_sstf1(Y: DenseTensor, path: str) -> None:
@@ -270,7 +295,7 @@ def write_sstf1(Y: DenseTensor, path: str) -> None:
         f.write(SSTF1_MAGIC)
         f.write(bytes([SSTF1_VERSION]))
         f.write(struct.pack("<II", Y.p, Y.n))
-        f.write(Y.data.astype("<f8").tobytes())
+        f.write(np.asarray(Y.data, "<f8"))  # no copy on a little-endian host
 
 
 def read_sstf1(path: str) -> DenseTensor:
@@ -291,10 +316,9 @@ def read_sstf1(path: str) -> DenseTensor:
             raise ValueError(f"truncated header: {len(header)} of 14 bytes")
         p, n = struct.unpack("<II", header[6:])
         size = check_capacity(n, p)
-        payload = f.read(size * 8)
-        if len(payload) != size * 8:
+        payload = np.empty(size, "<f8")
+        if f.readinto(payload) != size * 8:
             raise ValueError(f"truncated file: expected {size} doubles")
         if f.read(1):
             raise ValueError(f"trailing bytes after {size} doubles")
-    # the constructor copies, so the read-only buffer view is never kept
-    return DenseTensor(n, p, np.frombuffer(payload, dtype="<f8"))
+    return DenseTensor._owned(n, p, payload.astype(np.float64, copy=False))

@@ -1,0 +1,129 @@
+"""The copy contract of DenseTensor and the allocation budget of each stage.
+
+The public constructor copies and freezes; buffers the library allocates
+itself are wrapped without a copy. Budgets are tracemalloc peaks in units of
+one tensor (n^p doubles), measured at n=50, p=3 (1 MB).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm, substream
+from stpca.recovery import preprocess_split
+from stpca.tensor import DenseTensor, DenseUnitVector, add_rank1, read_sstf1, write_sstf1
+
+N, P = 50, 3
+TENSOR_BYTES = 8 * N**P
+
+
+def alloc_peak(fn, *args):
+    """fn(*args) and its allocation peak above the level at entry, in tensor sizes.
+
+    fn runs once beforehand, so one-time lazy set-up (numpy's first draw from
+    a generator allocates scratch memory) is not counted against the call.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - base) / TENSOR_BYTES
+
+
+@pytest.fixture
+def spike():
+    v = np.zeros(N)
+    v[[3, 11, 20, 41]] = [0.5, -0.5, 0.5, 0.5]
+    return DenseUnitVector(N, v)
+
+
+class TestCopyBudget:
+    def test_sample_noise_tensor(self):
+        _, peak = alloc_peak(sample_noise_tensor, N, P, 1)
+        assert peak <= 1.1
+
+    def test_add_rank1(self, spike):
+        Y = sample_noise_tensor(N, P, 1)
+        _, peak = alloc_peak(add_rank1, Y, 3.0, [spike] * P)
+        assert peak <= 1.1
+
+    def test_write_sstf1(self, tmp_path):
+        Y = sample_noise_tensor(N, P, 1)
+        _, peak = alloc_peak(write_sstf1, Y, str(tmp_path / "y.sstf"))
+        assert peak <= 0.1
+
+    def test_read_sstf1(self, tmp_path):
+        path = str(tmp_path / "y.sstf")
+        write_sstf1(sample_noise_tensor(N, P, 1), path)
+        _, peak = alloc_peak(read_sstf1, path)
+        assert peak <= 1.1
+
+    def test_preprocess_split(self):
+        Y = sample_noise_tensor(N, P, 1)
+        _, peak = alloc_peak(preprocess_split, Y, 1)
+        assert peak <= 2.1
+
+
+class TestOwnership:
+    def test_public_constructor_copies(self):
+        arr = np.arange(8.0)
+        Y = DenseTensor(2, 3, arr)
+        arr[0] = 99.0
+        assert Y.data[0] == 0.0
+        assert not np.shares_memory(Y.data, arr)
+        assert not Y.data.flags.writeable
+
+    def test_owned_keeps_the_checks(self):
+        with pytest.raises(ValueError):
+            DenseTensor._owned(2, 3, np.zeros(8, dtype=np.float32))
+        with pytest.raises(ValueError):
+            DenseTensor._owned(2, 3, np.zeros(9))
+        with pytest.raises(ValueError):
+            DenseTensor._owned(2, 1, np.zeros(2))
+        buf = np.zeros(8)
+        Y = DenseTensor._owned(2, 3, buf)
+        assert Y.data is buf and not buf.flags.writeable
+
+    def test_library_tensors_are_read_only(self, tmp_path, spike):
+        Y = sample_noise_tensor(N, P, 2)
+        path = str(tmp_path / "y.sstf")
+        write_sstf1(Y, path)
+        sampled = sample_sstm(SignalSpec(n=N, p=P, k=4, strengths=(3.0,)), 2).observation
+        returned = [
+            Y,
+            add_rank1(Y, 2.0, [spike] * P),
+            DenseTensor.zeros(4, 3),
+            read_sstf1(path),
+            sampled,
+            *preprocess_split(Y, 2),
+        ]
+        for T in returned:
+            assert not T.data.flags.writeable
+            with pytest.raises(ValueError):
+                T.data[0] = 1.0
+
+    def test_add_rank1_leaves_its_input(self, spike):
+        Y = sample_noise_tensor(N, P, 3)
+        before = Y.data.copy()
+        out = add_rank1(Y, 2.0, [spike] * P)
+        assert np.array_equal(Y.data, before)
+        assert not np.shares_memory(out.data, Y.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), p=st.integers(2, 4), seed=st.integers(0, 2**63 - 1))
+    def test_split_matches_reference_expression(self, n, p, seed):
+        Y = DenseTensor(n, p, np.random.default_rng(seed).standard_normal(n**p))
+        before = Y.data.copy()
+        Y1, Y2 = preprocess_split(Y, seed)
+        Z = substream(seed, "split").standard_normal(n**p)
+        s = 1.0 / np.sqrt(2.0)
+        assert np.array_equal(Y1.data, (Y.data + Z) * s)
+        assert np.array_equal(Y2.data, (Y.data - Z) * s)
+        assert np.array_equal(Y.data, before)

@@ -13,6 +13,9 @@ from stpca.experiments import (
     run_phase_diagram,
     trial_seed,
 )
+from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm
+from stpca.recovery import recover_multi
+from stpca.tensor import DenseTensor
 
 
 def small_config(**overrides):
@@ -44,6 +47,20 @@ class TestPhaseDiagram:
         out = str(tmp_path / "strong.csv")
         run_phase_diagram(small_config(lambda_grid=(500.0,), noise_scale=0.0), out)
         assert all(int(r["exact"]) == 1 for r in read_rows(out))
+
+    def test_scaled_noise_cell_matches_reference(self, tmp_path):
+        # a cell at noise_scale 0.5 recovers from Y + (0.5 - 1) * W, bit for bit
+        out = str(tmp_path / "half.csv")
+        config = small_config(lambda_grid=(8.0,), trials=3, noise_scale=0.5)
+        run_phase_diagram(config, out)
+        for row in read_rows(out):
+            seed = int(row["seed"])
+            spec = SignalSpec(n=10, p=3, k=3, r=1, strengths=(8.0,))
+            Y = sample_sstm(spec, seed).observation
+            W = sample_noise_tensor(10, 3, seed)
+            ref = DenseTensor(10, 3, Y.data + (0.5 - 1.0) * W.data)
+            _, values = recover_multi(ref, 3, 1, 1, seed)
+            assert row["argmax_value"] == repr(values[0])
 
     def test_header_schema(self, tmp_path):
         out = str(tmp_path / "schema.csv")

@@ -123,6 +123,18 @@ class TestArgmaxOverUt:
             assert (v.support, v.signs) == (base[0].support, base[0].signs)
             assert value == base[1]
 
+    def test_single_worker_starts_no_pool(self, monkeypatch):
+        import stpca.recovery
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool created at workers=1")
+
+        monkeypatch.setattr(stpca.recovery, "ThreadPoolExecutor", no_pool)
+        Y = DenseTensor(6, 2, np.random.default_rng(6).standard_normal(36))
+        argmax_over_Ut(Y, 2, frozenset(), workers=1)
+        with pytest.raises(ValueError):
+            argmax_over_Ut(Y, 2, frozenset(), workers=0)
+
 
 class TestTopK:
     def test_magnitude_selection(self):
