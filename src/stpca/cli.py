@@ -38,17 +38,12 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cmd_sample(args) -> int:
-    strengths = tuple(args.lam) if len(args.lam) == args.r else tuple(args.lam) * args.r
+    strengths = tuple(args.lam) * args.r if len(args.lam) == 1 else tuple(args.lam)
     spec = model.SignalSpec(
         n=args.n, p=args.p, k=args.k, A=args.A, r=args.r,
         strengths=strengths, mode=args.mode, ell=args.ell,
     )
-    if args.mode == "general":
-        inst = model.sample_general_instance(
-            args.n, args.p, args.k, args.ell, strengths[0], args.seed
-        )
-    else:
-        inst = model.sample_sstm(spec, args.seed)
+    inst = model.sample_sstm(spec, args.seed)
     tensor.write_sstf1(inst.observation, args.out)
     model.write_meta_json(args.out + ".meta.json", spec, args.seed, inst)
     print(f"wrote {args.out} and {args.out}.meta.json")

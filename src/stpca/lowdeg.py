@@ -3,9 +3,10 @@
 The degree-<=D chi-squared mass decomposes over multi-indices alpha of tensor
 entries; only alpha whose per-coordinate usage counts are all even contribute.
 Counting those alpha by the number s of distinct coordinates reduces the sum
-to exact integer combinatorics (even_surj_count), evaluated in rational
-arithmetic, with a brute-force multiset oracle for cross-checking and the
-threshold calculators in both directions.
+to exact integer combinatorics (even_surj_count over the closed-form power
+sums of even_all_count), evaluated in rational arithmetic, with a brute-force
+multiset oracle for cross-checking and the threshold calculators in both
+directions.
 """
 
 from __future__ import annotations
@@ -70,16 +71,13 @@ class ChiSqReport:
 def even_all_count(m: int, j: int) -> int:
     """Length-m sequences over j labeled symbols with every symbol count even.
 
-    Recursion over the count c of the last symbol: sum over even c of
-    C(m, c) * even_all_count(m - c, j - 1).
+    The exponential generating function is cosh(x)^j = 2^-j sum_i C(j, i)
+    e^{(j - 2i) x}, so the count is 2^-j sum_i C(j, i) (j - 2i)^m. The power
+    sum vanishes for odd m (terms i and j - i cancel) and is 0^m for j = 0.
     """
     if m < 0 or j < 0:
         raise ValueError("m and j must be nonnegative")
-    if m % 2 == 1:
-        return 0
-    if j == 0:
-        return 1 if m == 0 else 0
-    return sum(math.comb(m, c) * even_all_count(m - c, j - 1) for c in range(0, m + 1, 2))
+    return sum(math.comb(j, i) * (j - 2 * i) ** m for i in range(j + 1)) >> j
 
 
 def even_surj_count(m: int, s: int) -> int:

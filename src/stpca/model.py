@@ -3,12 +3,14 @@
 Every sampler is a pure function of (parameters, seed). A single 64-bit
 master seed derives labeled sub-streams via :func:`substream`, so tests can
 regenerate any component (noise, supports, signs, magnitudes) independently.
+`sample_sstm` serves every `SignalSpec` mode (flat, apx-flat, general) through
+one loop over spikes and their factors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +56,10 @@ class SignalSpec:
         if self.A < 1:
             raise ValueError("flatness bound A must be >= 1")
         if self.r < 1 or len(self.strengths) != self.r:
-            raise ValueError("need r >= 1 strengths")
+            raise ValueError(
+                f"need r >= 1 and one strength per spike, got r={self.r} and "
+                f"{len(self.strengths)} strengths"
+            )
         if any(a < b for a, b in zip(self.strengths, self.strengths[1:])):
             raise ValueError("strengths must be non-increasing")
         if any(s < 0 for s in self.strengths):
@@ -62,7 +67,9 @@ class SignalSpec:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "general" and not 1 <= self.ell <= self.p:
-            raise ValueError("need 1 <= ell <= p")
+            raise ValueError(f"need 1 <= ell <= p, got ell={self.ell}, p={self.p}")
+        if self.mode == "general" and self.r != 1:
+            raise ValueError(f"general mode plants one spike, got r={self.r}")
         disjoint_supports = self.r * self.k * (self.ell if self.mode == "general" else 1)
         if disjoint_supports > self.n:
             raise ValueError(
@@ -102,10 +109,6 @@ class PlantedSignal:
     strength: float
     factors: tuple[DenseUnitVector, ...]
     composition: tuple[int, ...]
-
-    @property
-    def vector(self) -> DenseUnitVector:
-        return self.factors[0]
 
     def mode_factors(self, p: int) -> list[DenseUnitVector]:
         """The p per-mode factor vectors in tensor-mode order."""
@@ -201,59 +204,52 @@ def _disjoint_supports(n: int, sizes: list[int], rng: np.random.Generator) -> li
 
 
 def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
-    """Sample Y = W + sum_q strengths[q] * x_q^{xp} with disjoint truth supports."""
-    if spec.mode == "general":
-        raise ValueError("use sample_general_instance for general-mode specs")
-    Y = sample_noise_tensor(spec.n, spec.p, seed)
-    supports = _disjoint_supports(spec.n, [spec.k] * spec.r, substream(seed, "supports"))
+    """Sample Y = W + sum_q strengths[q] * x_q^{xp} with disjoint truth supports.
+
+    Every spike has ell flat factors in "general" mode (one spike, with a
+    composition drawn uniformly among the C(p-1, ell-1) choices) and one
+    factor otherwise. All factors take disjoint supports from the "supports"
+    stream and signs from the "signs" stream, spike by spike; apx-flat
+    magnitudes come from ("magnitudes", q).
+    """
+    n, p, k = spec.n, spec.p, spec.k
+    ell = spec.ell if spec.mode == "general" else 1
+    # uniform composition: choose ell-1 cut points among p-1 gaps; (p,) for ell=1
+    cuts = np.sort(substream(seed, "composition").choice(p - 1, size=ell - 1, replace=False))
+    bounds = [0, *(cuts + 1).tolist(), p]
+    composition = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    Y = sample_noise_tensor(n, p, seed)
+    supports = _disjoint_supports(n, [k] * (spec.r * ell), substream(seed, "supports"))
     sign_rng = substream(seed, "signs")
     signals: list[PlantedSignal] = []
-    for q in range(spec.r):
-        if spec.mode == "flat":
-            signs = sign_rng.choice([-1, 1], size=spec.k)
-            vec = make_flat_signal(spec.n, supports[q], signs)
-        else:
+    for q, lam in enumerate(spec.strengths):
+        factors = []
+        for support in supports[q * ell : (q + 1) * ell]:
+            signs = sign_rng.choice([-1, 1], size=k)
+            if spec.mode != "apx-flat":
+                factors.append(make_flat_signal(n, support, signs))
+                continue
             mags = substream(seed, "magnitudes", q).uniform(
-                1.0 / (spec.A * np.sqrt(spec.k)), spec.A / np.sqrt(spec.k), size=spec.k
+                1.0 / (spec.A * np.sqrt(k)), spec.A / np.sqrt(k), size=k
             )
-            signs = sign_rng.choice([-1.0, 1.0], size=spec.k)
-            v = np.zeros(spec.n)
-            v[supports[q] - 1] = signs * mags
+            v = np.zeros(n)
+            v[support - 1] = signs * mags
             v /= np.linalg.norm(v)
-            vec = DenseUnitVector(spec.n, v)
-        lam = spec.strengths[q]
-        signals.append(PlantedSignal(lam, (vec,), (spec.p,)))
+            factors.append(DenseUnitVector(n, v))
+        signal = PlantedSignal(lam, tuple(factors), composition)
+        signals.append(signal)
         if lam != 0.0:
-            Y = add_rank1(Y, lam, [vec] * spec.p)
+            Y = add_rank1(Y, lam, signal.mode_factors(p))
     return SstmInstance(Y, tuple(signals), seed, spec)
 
 
 def sample_general_instance(
     n: int, p: int, k: int, ell: int, lam: float, seed: int
 ) -> SstmInstance:
-    """Single general spike lam * x_(1) x ... x x_(p) from ell distinct flat vectors.
-
-    The composition (m_1, ..., m_ell) assigning consecutive modes to the
-    distinct vectors is drawn uniformly among the C(p-1, ell-1) choices.
-    """
-    if not 1 <= ell <= p:
-        raise ValueError(f"need 1 <= ell <= p, got ell={ell}")
-    spec = SignalSpec(n=n, p=p, k=k, r=1, strengths=(lam,), mode="general", ell=ell)
-    Y = sample_noise_tensor(n, p, seed)
-    comp_rng = substream(seed, "composition")
-    # uniform composition: choose ell-1 cut points among p-1 gaps
-    cuts = np.sort(comp_rng.choice(p - 1, size=ell - 1, replace=False)) + 1
-    bounds = [0, *cuts.tolist(), p]
-    composition = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-    supports = _disjoint_supports(n, [k] * ell, substream(seed, "supports"))
-    sign_rng = substream(seed, "signs")
-    factors = tuple(
-        make_flat_signal(n, supports[q], sign_rng.choice([-1, 1], size=k)) for q in range(ell)
+    """Single general spike lam * x_(1) x ... x x_(p) from ell distinct flat vectors."""
+    return sample_sstm(
+        SignalSpec(n=n, p=p, k=k, strengths=(lam,), mode="general", ell=ell), seed
     )
-    signal = PlantedSignal(lam, factors, composition)
-    if lam != 0.0:
-        Y = add_rank1(Y, lam, signal.mode_factors(p))
-    return SstmInstance(Y, (signal,), seed, spec)
 
 
 def sample_rademacher_prior(n: int, k: int, seed: int) -> RademacherPriorSample:

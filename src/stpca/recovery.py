@@ -29,6 +29,9 @@ from .tensor import (
     rank1_inner,
 )
 
+# members per family_chunks chunk, the default of every family search
+FAMILY_CHUNK_SIZE = 1024
+
 
 class EnumerationError(ValueError):
     """Too few free coordinates to enumerate t-sparse candidates."""
@@ -68,7 +71,6 @@ class RecoveryReport:
     exact: list[bool]
     overlap: list[float]
     argmax_values: list[float]
-    wall_times: list[float]
 
     @property
     def all_exact(self) -> bool:
@@ -81,7 +83,6 @@ class RecoveryReport:
             "exact": self.exact,
             "overlap": self.overlap,
             "argmax_values": self.argmax_values,
-            "wall_times": self.wall_times,
         }
 
 
@@ -199,7 +200,7 @@ def family_chunks(
     t: int,
     ell: int = 1,
     forbidden: frozenset[int] | set[int] = frozenset(),
-    chunk_size: int = 1024,
+    chunk_size: int = FAMILY_CHUNK_SIZE,
 ):
     """Stream the candidate family of an order-p tensor in rank order.
 
@@ -260,7 +261,7 @@ def argmax_over_Ut(
     t: int,
     forbidden: frozenset[int] | set[int] = frozenset(),
     workers: int = 1,
-    chunk_size: int = 4096,
+    chunk_size: int = FAMILY_CHUNK_SIZE,
 ) -> tuple[SparseSignVector, float]:
     """Maximize <Y1, u^{xp}> over the enumerated candidate set.
 
@@ -380,7 +381,6 @@ def match_supports(
     recovered: list[frozenset[int]],
     truth: list[frozenset[int]],
     argmax_values: list[float] | None = None,
-    wall_times: list[float] | None = None,
 ) -> RecoveryReport:
     """Greedy maximum-overlap bijection between recovered and truth supports."""
     if len(recovered) != len(truth):
@@ -407,7 +407,6 @@ def match_supports(
         exact=exact,
         overlap=overlap,
         argmax_values=list(argmax_values or []),
-        wall_times=list(wall_times or []),
     )
 
 

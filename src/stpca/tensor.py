@@ -190,11 +190,6 @@ class DenseTensor:
     def zeros(cls, n: int, p: int) -> DenseTensor:
         return cls._owned(n, p, np.zeros(check_capacity(n, p)))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> DenseTensor:
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape[0], arr.ndim, arr.reshape(-1))
-
     def as_ndarray(self) -> np.ndarray:
         """Read-only view shaped (n,) * p."""
         return self.data.reshape((self.n,) * self.p)

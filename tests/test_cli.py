@@ -93,6 +93,37 @@ class TestSampleRecover:
         assert doc["exact"] == [True, True]
 
 
+    def test_general_mode_rejects_several_spikes(self, tmp_path, capsys):
+        path = tmp_path / "gen.sstf"
+        code, _, err = run_cli(
+            capsys, "sample", "--n", "15", "--p", "3", "--k", "3", "--r", "2",
+            "--mode", "general", "--ell", "2", "--lambda", "200",
+            "--seed", "4", "--out", str(path),
+        )
+        assert code == 2
+        assert "r=2" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_lambda_is_shared_by_every_spike(self, tmp_path, capsys):
+        path = str(tmp_path / "multi.sstf")
+        code, _, _ = run_cli(
+            capsys, "sample", "--n", "20", "--p", "3", "--k", "3", "--r", "3",
+            "--lambda", "50", "--seed", "9", "--out", path,
+        )
+        assert code == 0
+        meta = json.load(open(path + ".meta.json"))
+        assert meta["strengths"] == [50.0, 50.0, 50.0]
+
+    def test_lambda_count_must_match_r(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "sample", "--n", "20", "--p", "3", "--k", "3", "--r", "3",
+            "--lambda", "50", "60", "--seed", "9", "--out", str(tmp_path / "y.sstf"),
+        )
+        assert code == 2
+        assert "r=3 and 2 strengths" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLowdegCommand:
     def test_worked_example_in_json(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -56,6 +57,17 @@ def brute_even_surj(m, s):
     return total
 
 
+@functools.cache
+def recursive_even_all(m, j):
+    """Recursion over the count c of the last symbol: sum over even c of
+    C(m, c) * recursive_even_all(m - c, j - 1)."""
+    if m % 2 == 1:
+        return 0
+    if j == 0:
+        return 1 if m == 0 else 0
+    return sum(math.comb(m, c) * recursive_even_all(m - c, j - 1) for c in range(0, m + 1, 2))
+
+
 class TestEvenAllCount:
     def test_two_one(self):
         assert even_all_count(2, 1) == 1
@@ -74,6 +86,21 @@ class TestEvenAllCount:
         for m in range(0, 7):
             for j in range(0, 4):
                 assert even_all_count(m, j) == brute_even_all(m, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 120), j=st.integers(0, 60))
+    def test_closed_form_matches_recursion(self, m, j):
+        assert even_all_count(m, j) == recursive_even_all(m, j)
+
+    def test_large_j_needs_no_recursion(self):
+        # m=2: one of the j symbols, used twice
+        assert even_all_count(2, 1500) == 1500
+
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            even_all_count(-2, 1)
+        with pytest.raises(ValueError):
+            even_all_count(2, -1)
 
 
 class TestEvenSurjCount:

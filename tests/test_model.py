@@ -123,6 +123,23 @@ class TestSampleSstm:
         with pytest.raises(ValueError):
             SignalSpec(n=5, p=2, k=3, r=2, strengths=(1.0, 1.0))
 
+    def test_general_mode_reconstruction(self):
+        spec = SignalSpec(n=10, p=4, k=2, strengths=(3.0,), mode="general", ell=3)
+        inst = sample_sstm(spec, 7)
+        sig = inst.truth[0]
+        assert len(sig.factors) == 3 and sum(sig.composition) == 4
+        Y = add_rank1(inst.observation, -sig.strength, sig.mode_factors(4))
+        noise = sample_noise_tensor(10, 4, 7)
+        assert Y.max_abs_diff(noise) <= 1e-12
+
+    def test_general_mode_plants_one_spike(self):
+        with pytest.raises(ValueError, match="r=2"):
+            SignalSpec(n=20, p=3, k=2, r=2, strengths=(2.0, 1.0), mode="general", ell=2)
+
+    def test_strength_count_named_in_error(self):
+        with pytest.raises(ValueError, match="r=3 and 2 strengths"):
+            SignalSpec(n=20, p=3, k=2, r=3, strengths=(2.0, 1.0))
+
 
 class TestGeneralInstance:
     def test_ell1_reduces_to_single_spike(self):
