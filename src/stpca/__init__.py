@@ -30,7 +30,6 @@ from .model import (
     substream,
 )
 from .recovery import (
-    RecoveryParams,
     RecoveryReport,
     argmax_over_Ut,
     distinguish,

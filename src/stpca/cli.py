@@ -51,6 +51,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.ell > 1 and (args.r, args.workers) != (1, 1):
+        raise ValueError(f"--ell {args.ell} recovers one general spike on one worker, "
+                         f"got --r {args.r} --workers {args.workers}")
     Y = tensor.read_sstf1(args.infile)
     if args.ell > 1:
         recovered, value = recovery.recover_general(Y, args.k, args.t, args.ell, args.seed)
@@ -64,22 +67,14 @@ def _cmd_recover(args) -> int:
         "argmax_values": values,
     }
     meta_path = args.infile + ".meta.json"
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-        if "truth" in meta:
-            truth = [
-                frozenset(sup)
-                for sig in meta["truth"]
-                for sup in sig["supports"]
-            ]
-            if len(truth) == len(recovered):
-                report = recovery.match_supports(recovered, truth, values)
-                doc["matching"] = report.matching
-                doc["exact"] = report.exact
-                doc["overlap"] = report.overlap
-            else:
-                doc["truth_mismatch"] = {"truth": len(truth), "recovered": len(recovered)}
+    truth = model.read_truth_supports(meta_path) if os.path.exists(meta_path) else None
+    if truth is not None and len(truth) == len(recovered):
+        report = recovery.match_supports(recovered, truth, values)
+        doc["matching"] = report.matching
+        doc["exact"] = report.exact
+        doc["overlap"] = report.overlap
+    elif truth is not None:
+        doc["truth_mismatch"] = {"truth": len(truth), "recovered": len(recovered)}
     _emit(doc, args.out)
     return 0
 
@@ -202,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, tensor.CapacityError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"stpca: error: {exc}", file=sys.stderr)
         return 2
 

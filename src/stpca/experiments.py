@@ -30,6 +30,14 @@ CSV_HEADER = [
     "exact", "overlap", "argmax_value", "runtime_ms", "error",
 ]
 
+# JSON key of each PhaseConfig field; a "_grid" field is a JSON list
+_CONFIG_KEYS = {
+    "n": "n_grid", "p": "p_grid", "k": "k_grid", "r": "r_grid", "t": "t_grid",
+    "lambda": "lambda_grid", "trials": "trials", "seed": "master_seed",
+    "lambda_mode": "lambda_mode", "noise_scale": "noise_scale",
+    "record_runtime": "record_runtime",
+}
+
 CONCENTRATION_CANDIDATE_GUARD = 10**5
 CONCENTRATION_PAIR_GUARD = 2 * 10**5
 
@@ -78,14 +86,20 @@ class PhaseConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseConfig":
-        return cls(
-            n_grid=tuple(d["n"]), p_grid=tuple(d["p"]), k_grid=tuple(d["k"]),
-            r_grid=tuple(d.get("r", [1])), t_grid=tuple(d["t"]),
-            lambda_grid=tuple(d["lambda"]), trials=d["trials"],
-            master_seed=d["seed"], lambda_mode=d.get("lambda_mode", "absolute"),
-            noise_scale=d.get("noise_scale", 1.0),
-            record_runtime=d.get("record_runtime", True),
-        )
+        """Build from JSON keys; "r" defaults to [1]. A missing required key, an
+        unknown key or a grid that is not a list raises ValueError naming it."""
+        for key in ("n", "p", "k", "t", "lambda", "trials", "seed"):
+            if key not in d:
+                raise ValueError(f"phase config is missing key '{key}'")
+        kwargs = {"r_grid": (1,)}
+        for key, value in d.items():
+            name = _CONFIG_KEYS.get(key)
+            if name is None:
+                raise ValueError(f"unknown phase config key '{key}'")
+            if name.endswith("_grid") and not isinstance(value, list):
+                raise ValueError(f"phase config key '{key}' must be a list, got {value!r}")
+            kwargs[name] = tuple(value) if name.endswith("_grid") else value
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str) -> "PhaseConfig":
@@ -203,6 +217,8 @@ def check_concentration(
     """
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2 at desk scale")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if math.comb(n, t) * 2**t > CONCENTRATION_CANDIDATE_GUARD:
         raise ValueError("candidate family exceeds feasibility guard")
     # one family, kept and scored against every trial's noise tensor

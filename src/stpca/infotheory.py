@@ -7,12 +7,13 @@ logarithms throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from .recovery import candidate_count, enumerate_candidates
 
 EXACT_COVER_GUARD = 24  # |U_k| cap for the exhaustive set-cover search
 
@@ -65,18 +66,11 @@ def kl_upper_bound(lam: float) -> float:
 
 
 def enumerate_Uk(n: int, k: int) -> list[np.ndarray]:
-    """All 2^k C(n,k) k-sparse flat vectors, deterministic order."""
+    """All 2^k C(n,k) k-sparse flat vectors, in the rank order of enumerate_candidates."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    mag = 1.0 / math.sqrt(k)
-    out = []
-    for support in itertools.combinations(range(n), k):
-        for signs in itertools.product((1.0, -1.0), repeat=k):
-            v = np.zeros(n)
-            for i, s in zip(support, signs):
-                v[i] = s * mag
-            out.append(v)
-    return out
+    # odd parity pins no sign, so U_k keeps both u and -u
+    return [v.to_dense() for v in enumerate_candidates(n, k, frozenset(), 1)]
 
 
 def dist_l2(x: np.ndarray, y: np.ndarray) -> float:
@@ -91,22 +85,29 @@ def dist_sign_invariant(x: np.ndarray, y: np.ndarray) -> float:
 _METRICS = {"l2": dist_l2, "rho": dist_sign_invariant}
 
 
-def greedy_cover_size(n: int, k: int, eps: float, metric: str = "l2") -> int:
-    """Greedy eps-net size over U_k; an upper bound on the covering number."""
+def _covers(n: int, k: int, eps: float, metric: str) -> list[frozenset[int]]:
+    """covers[i]: the indices of the points of U_k within eps of point i."""
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
     dist = _METRICS[metric]
     points = enumerate_Uk(n, k)
-    uncovered = set(range(len(points)))
+    return [frozenset(j for j, y in enumerate(points) if dist(x, y) <= eps) for x in points]
+
+
+def _greedy_cover(covers: list[frozenset[int]]) -> int:
+    uncovered = set(range(len(covers)))
     size = 0
     while uncovered:
-        # cover the most uncovered points; ties to the smallest index
-        best_i, best_gain = None, -1
-        for i in sorted(uncovered):
-            gain = sum(1 for j in uncovered if dist(points[i], points[j]) <= eps)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        uncovered -= {j for j in uncovered if dist(points[best_i], points[j]) <= eps}
+        # cover the most uncovered points; max keeps the first, so ties go to the smallest index
+        best = max(sorted(uncovered), key=lambda i: len(covers[i] & uncovered))
+        uncovered -= covers[best]
         size += 1
     return size
+
+
+def greedy_cover_size(n: int, k: int, eps: float, metric: str = "l2") -> int:
+    """Greedy eps-net size over U_k; an upper bound on the covering number."""
+    return _greedy_cover(_covers(n, k, eps, metric))
 
 
 def covering_number_oracle(n: int, k: int, eps: float, metric: str = "l2") -> int:
@@ -114,19 +115,12 @@ def covering_number_oracle(n: int, k: int, eps: float, metric: str = "l2") -> in
 
     Exhaustive branch-and-bound over cover subsets; guarded by |U_k| <= 24.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
-    dist = _METRICS[metric]
-    points = enumerate_Uk(n, k)
-    m = len(points)
+    m = candidate_count(n, k, 0, 1)
     if m > EXACT_COVER_GUARD:
         raise ValueError(f"|U_k| = {m} exceeds exact-search guard {EXACT_COVER_GUARD}")
-    covers = [
-        frozenset(j for j in range(m) if dist(points[i], points[j]) <= eps)
-        for i in range(m)
-    ]
-    universe = frozenset(range(m))
-    best = greedy_cover_size(n, k, eps, metric)
+    covers = _covers(n, k, eps, metric)
+    best = _greedy_cover(covers)
+    centers_covering = [sum(1 for c in covers if j in c) for j in range(m)]
 
     def search(uncovered: frozenset, used: int, budget: int) -> int:
         if not uncovered:
@@ -134,7 +128,7 @@ def covering_number_oracle(n: int, k: int, eps: float, metric: str = "l2") -> in
         if used + 1 > budget:
             return budget + 1
         # branch on the hardest point: fewest candidate centers cover it
-        target = min(uncovered, key=lambda j: (sum(1 for c in covers if j in c), j))
+        target = min(uncovered, key=lambda j: (centers_covering[j], j))
         result = budget + 1
         for i in range(m):
             if target in covers[i]:
@@ -142,7 +136,7 @@ def covering_number_oracle(n: int, k: int, eps: float, metric: str = "l2") -> in
                 result = min(result, sub)
         return result
 
-    exact = search(universe, 0, best)
+    exact = search(frozenset(range(m)), 0, best)
     return min(exact, best)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, DenseUnitVector, add_rank1, check_capacity
+from .tensor import DenseTensor, DenseUnitVector, SparseSignVector, add_rank1, check_capacity
 
 MODES = ("flat", "apx-flat", "general")
 
@@ -48,7 +48,7 @@ class SignalSpec:
     r: int = 1
     strengths: tuple[float, ...] = (1.0,)
     mode: str = "flat"
-    ell: int = 1  # distinct factors per spike, only used in "general" mode
+    ell: int = 1  # distinct factors per spike; 1 unless mode is "general"
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -66,11 +66,15 @@ class SignalSpec:
             raise ValueError("strengths must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.mode != "general" and self.ell != 1:
+            raise ValueError(f"ell={self.ell} needs mode 'general', got mode '{self.mode}'")
+        if self.mode != "apx-flat" and self.A != 1:
+            raise ValueError(f"A={self.A} needs mode 'apx-flat', got mode '{self.mode}'")
         if self.mode == "general" and not 1 <= self.ell <= self.p:
             raise ValueError(f"need 1 <= ell <= p, got ell={self.ell}, p={self.p}")
         if self.mode == "general" and self.r != 1:
             raise ValueError(f"general mode plants one spike, got r={self.r}")
-        disjoint_supports = self.r * self.k * (self.ell if self.mode == "general" else 1)
+        disjoint_supports = self.r * self.k * self.ell
         if disjoint_supports > self.n:
             raise ValueError(
                 f"disjoint supports infeasible: {disjoint_supports} indices > n={self.n}"
@@ -152,20 +156,23 @@ def sample_noise_tensor(n: int, p: int, seed: int) -> DenseTensor:
 
 
 def make_flat_signal(n: int, support, signs) -> DenseUnitVector:
-    """k-sparse flat unit vector: entries +-1/sqrt(k) on support."""
-    support = list(support)
-    signs = list(signs)
-    if len(set(support)) != len(support):
-        raise ValueError("duplicate support indices")
+    """k-sparse flat unit vector: entries +-1/sqrt(k) on a 1-based support in any order."""
+    support, signs = list(support), list(signs)
     if len(signs) != len(support):
         raise ValueError("signs and support lengths differ")
+    pairs = sorted(zip(support, signs))
+    u = SparseSignVector(n, tuple(i for i, _ in pairs), tuple(s for _, s in pairs))
+    return DenseUnitVector(n, u.to_dense())
+
+
+def _apx_flat_factor(n: int, support, signs, A: float, rng) -> DenseUnitVector:
+    """Signed magnitudes uniform in [1/(A sqrt k), A/sqrt k], drawn from rng
+    on the 1-based support, renormalized to unit length."""
     k = len(support)
+    mags = rng.uniform(1.0 / (A * np.sqrt(k)), A / np.sqrt(k), size=k)
     v = np.zeros(n)
-    mag = 1.0 / np.sqrt(k)
-    for i, s in zip(support, signs):
-        if not 1 <= i <= n:
-            raise ValueError(f"support index {i} out of range [1, {n}]")
-        v[i - 1] = s * mag
+    v[support - 1] = signs * mags
+    v /= np.linalg.norm(v)
     return DenseUnitVector(n, v)
 
 
@@ -182,12 +189,8 @@ def sample_apx_flat_signal(
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     support = np.sort(substream(seed, "supports").choice(n, size=k, replace=False)) + 1
-    mags = substream(seed, "magnitudes").uniform(1.0 / (A * np.sqrt(k)), A / np.sqrt(k), size=k)
     signs = substream(seed, "signs").choice([-1.0, 1.0], size=k)
-    v = np.zeros(n)
-    v[support - 1] = signs * mags
-    v /= np.linalg.norm(v)
-    return DenseUnitVector(n, v), A * A
+    return _apx_flat_factor(n, support, signs, A, substream(seed, "magnitudes")), A * A
 
 
 def _disjoint_supports(n: int, sizes: list[int], rng: np.random.Generator) -> list[np.ndarray]:
@@ -212,8 +215,7 @@ def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
     stream and signs from the "signs" stream, spike by spike; apx-flat
     magnitudes come from ("magnitudes", q).
     """
-    n, p, k = spec.n, spec.p, spec.k
-    ell = spec.ell if spec.mode == "general" else 1
+    n, p, k, ell = spec.n, spec.p, spec.k, spec.ell
     # uniform composition: choose ell-1 cut points among p-1 gaps; (p,) for ell=1
     cuts = np.sort(substream(seed, "composition").choice(p - 1, size=ell - 1, replace=False))
     bounds = [0, *(cuts + 1).tolist(), p]
@@ -226,16 +228,11 @@ def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
         factors = []
         for support in supports[q * ell : (q + 1) * ell]:
             signs = sign_rng.choice([-1, 1], size=k)
-            if spec.mode != "apx-flat":
+            if spec.mode == "apx-flat":
+                rng = substream(seed, "magnitudes", q)
+                factors.append(_apx_flat_factor(n, support, signs, spec.A, rng))
+            else:
                 factors.append(make_flat_signal(n, support, signs))
-                continue
-            mags = substream(seed, "magnitudes", q).uniform(
-                1.0 / (spec.A * np.sqrt(k)), spec.A / np.sqrt(k), size=k
-            )
-            v = np.zeros(n)
-            v[support - 1] = signs * mags
-            v /= np.linalg.norm(v)
-            factors.append(DenseUnitVector(n, v))
         signal = PlantedSignal(lam, tuple(factors), composition)
         signals.append(signal)
         if lam != 0.0:
@@ -298,3 +295,15 @@ def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstan
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
+
+
+def read_truth_supports(path: str) -> list[frozenset[int]] | None:
+    """Truth supports from a :func:`write_meta_json` sidecar, one per planted
+    factor in planting order; None when the sidecar holds no truth."""
+    with open(path) as f:
+        meta = json.load(f)
+    if "truth" not in meta:
+        return None
+    if any("supports" not in sig for sig in meta["truth"]):
+        raise ValueError(f'{path}: truth entry without "supports"')
+    return [frozenset(sup) for sig in meta["truth"] for sup in sig["supports"]]

@@ -37,31 +37,6 @@ class EnumerationError(ValueError):
     """Too few free coordinates to enumerate t-sparse candidates."""
 
 
-@dataclass(frozen=True)
-class RecoveryParams:
-    """Knobs of the provable-guarantee threshold: budget t, slack eps, ratio kappa."""
-
-    k: int
-    t: int
-    r: int = 1
-    eps: float = 0.5
-    kappa: float = 5.0
-    delta: float = 0.01
-    A: float = 1.0
-
-    def __post_init__(self):
-        if not 1 <= self.t <= self.k:
-            raise ValueError(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
-        if not 0 < self.eps <= 0.5:
-            raise ValueError("eps must be in (0, 1/2]")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.A < 1:
-            raise ValueError("A must be >= 1")
-
-
 @dataclass
 class RecoveryReport:
     """Recovered supports matched against ground truth."""
@@ -323,6 +298,8 @@ def recover_general(
     """
     if not 1 <= ell <= Y.p:
         raise ValueError(f"need 1 <= ell <= p, got ell={ell}")
+    if not 1 <= t <= k:
+        raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
     Y1, Y2 = preprocess_split(Y, seed)
     value, (comp, cands) = argmax_over_family(Y1.data, family_chunks(Y.n, Y.p, t, ell))
     factors: list[SparseSignVector] = []
@@ -355,7 +332,16 @@ def threshold_lambda(
     kappa >= 5 A^{2p} (eps/(1-eps))^{p-1}. r does not enter the formula but is
     kept for parity with the recovery entry points.
     """
-    RecoveryParams(k=k, t=t, r=r, eps=eps, kappa=kappa, delta=delta, A=A)
+    if not 1 <= t <= k:
+        raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
+    if not 0 < eps <= 0.5:
+        raise ValueError("eps must be in (0, 1/2]")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if A < 1:
+        raise ValueError("A must be >= 1")
     lam = (32.0 * kappa / (A * eps) ** p) * math.sqrt(t * (k / t) ** p * math.log(n / delta))
     valid = kappa >= 5.0 * A ** (2 * p) * (eps / (1.0 - eps)) ** (p - 1)
     return lam, valid

@@ -205,6 +205,61 @@ class TestMalformedInput:
         assert err.startswith("stpca: error:")
 
 
+class TestRejectedInput:
+    """Malformed flags and files exit 2 with a message, never a traceback."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        for name in ("y.sstf", "no-supports.sstf"):
+            write_sstf1(DenseTensor.zeros(6, 3), str(tmp_path / name))
+        (tmp_path / "no-supports.sstf.meta.json").write_text(
+            json.dumps({"truth": [{"strength": 1.0, "composition": [3]}]})
+        )
+        config = {"n": [8], "p": [3], "k": [2], "t": [1], "lambda": [1.0], "trials": 1, "seed": 5}
+        configs = {
+            "missing-key.json": {key: v for key, v in config.items() if key != "t"},
+            "scalar-grid.json": dict(config, n=10),
+            "unknown-key.json": dict(config, lamda_mode="threshold-multiple"),
+        }
+        for name, doc in configs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        return tmp_path
+
+    RECOVER = ["recover", "--in", "{d}/y.sstf", "--k", "2", "--seed", "0"]
+    SAMPLE = ["sample", "--n", "10", "--p", "3", "--k", "2", "--lambda", "5",
+              "--seed", "1", "--out", "{d}/out.sstf"]
+    CONCENTRATION = ["check-concentration", "--n", "6", "--p", "3", "--t", "1", "--seed", "0"]
+    PHASE = ["phase", "--out", "{d}/sweep.csv", "--config"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (RECOVER + ["--t", "1", "--ell", "2", "--r", "3"], "--r 3"),
+        (RECOVER + ["--t", "1", "--ell", "2", "--workers", "2"], "--workers 2"),
+        (RECOVER + ["--t", "3", "--ell", "2"], "t=3"),
+        (CONCENTRATION + ["--trials", "0"], "trials"),
+        (CONCENTRATION + ["--trials", "-3"], "trials"),
+        (PHASE + ["{d}/missing-key.json"], "'t'"),
+        (PHASE + ["{d}/scalar-grid.json"], "'n'"),
+        (PHASE + ["{d}/unknown-key.json"], "'lamda_mode'"),
+        (["recover", "--in", "{d}/no-supports.sstf", "--k", "2", "--t", "1", "--seed", "0"],
+         '"supports"'),
+        (SAMPLE + ["--mode", "flat", "--ell", "3"], "ell=3"),
+        (SAMPLE + ["--mode", "general", "--A", "2"], "A=2.0"),
+    ], ids=[
+        "general-with-r", "general-with-workers", "general-t-above-k",
+        "zero-trials", "negative-trials", "config-missing-key", "config-scalar-grid",
+        "config-unknown-key", "truth-without-supports", "flat-with-ell", "general-with-A",
+    ])
+    def test_exit_2(self, workdir, capsys, argv, named):
+        code, out, err = run_cli(capsys, *[a.format(d=workdir) for a in argv])
+        assert code == 2
+        assert err.startswith("stpca: error:")
+        assert named in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not list(workdir.glob("out.sstf*"))
+        assert not (workdir / "sweep.csv").exists()
+
+
 class TestTruthMismatch:
     def test_count_mismatch_reported(self, tmp_path, capsys):
         path = str(tmp_path / "two.sstf")

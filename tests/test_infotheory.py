@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stpca import infotheory
 from stpca.infotheory import (
     covering_number_oracle,
     dist_l2,
@@ -16,6 +18,50 @@ from stpca.infotheory import (
     packing_lower_bound_log,
     risk_constant,
 )
+
+METRICS = {"l2": dist_l2, "rho": dist_sign_invariant}
+# includes the exact distances sqrt(2), sqrt(3) and 2 between points of U_k
+EPS_GRID = (0.5, 1.0, 1.2, math.sqrt(2), 1.5, math.sqrt(3), 2.0)
+# every (n, k) with n <= 7, k <= 3 and |U_k| <= 120
+SMALL_UK = [(n, k) for n in range(1, 8) for k in range(1, min(3, n) + 1)
+            if 2**k * math.comb(n, k) <= 120]
+
+
+def reference_Uk(n, k):
+    """U_k built entry by entry: supports lexicographic, signs counting from +1."""
+    mag = 1.0 / math.sqrt(k)
+    out = []
+    for support in itertools.combinations(range(n), k):
+        for signs in itertools.product((1.0, -1.0), repeat=k):
+            v = np.zeros(n)
+            for i, s in zip(support, signs):
+                v[i] = s * mag
+            out.append(v)
+    return out
+
+
+def reference_greedy(points, eps, dist):
+    """Greedy net recomputing every distance; ties go to the smallest index."""
+    uncovered = set(range(len(points)))
+    size = 0
+    while uncovered:
+        best_i, best_gain = None, -1
+        for i in sorted(uncovered):
+            gain = sum(1 for j in uncovered if dist(points[i], points[j]) <= eps)
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        uncovered -= {j for j in uncovered if dist(points[best_i], points[j]) <= eps}
+        size += 1
+    return size
+
+
+def reference_min_cover(points, eps, dist):
+    """Smallest net found by trying every center subset in order of size."""
+    m = len(points)
+    for size in range(1, m + 1):
+        for centers in itertools.combinations(range(m), size):
+            if all(any(dist(points[c], points[j]) <= eps for c in centers) for j in range(m)):
+                return size
 
 
 class TestMinimaxLambda:
@@ -79,6 +125,30 @@ class TestMetrics:
         assert dist_sign_invariant(e1, e2) == pytest.approx(math.sqrt(2))
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("n, k", SMALL_UK)
+    def test_enumerate_Uk_bytes(self, n, k):
+        got = enumerate_Uk(n, k)
+        ref = reference_Uk(n, k)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("n, k", SMALL_UK)
+    def test_greedy_cover_size(self, n, k, metric):
+        points = reference_Uk(n, k)
+        for eps in EPS_GRID:
+            expected = reference_greedy(points, eps, METRICS[metric])
+            assert greedy_cover_size(n, k, eps, metric) == expected
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("n, k", [(n, k) for n, k in SMALL_UK if 2**k * math.comb(n, k) <= 12])
+    def test_exact_cover_is_smallest(self, n, k, metric):
+        points = reference_Uk(n, k)
+        for eps in EPS_GRID:
+            expected = reference_min_cover(points, eps, METRICS[metric])
+            assert covering_number_oracle(n, k, eps, metric) == expected
+
+
 class TestCoveringOracle:
     def test_enumeration_size(self):
         assert len(enumerate_Uk(4, 1)) == 8
@@ -98,6 +168,14 @@ class TestCoveringOracle:
     def test_guard(self):
         with pytest.raises(ValueError):
             covering_number_oracle(10, 2, 1.0)
+
+    def test_guard_precedes_enumeration(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("U_k enumerated before the guard")
+
+        monkeypatch.setattr(infotheory, "enumerate_Uk", refuse)
+        with pytest.raises(ValueError, match="exceeds exact-search guard"):
+            covering_number_oracle(40, 4, 1.0)
 
     def test_exact_at_most_greedy(self):
         for n, k, eps in ((4, 1, 0.5), (4, 1, 1.0), (6, 1, 1.5), (4, 2, 1.0)):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from stpca.model import (
     SignalSpec,
     make_flat_signal,
+    read_truth_supports,
     sample_apx_flat_signal,
     sample_distinguishing,
     sample_general_instance,
@@ -63,6 +65,21 @@ class TestFlatSignal:
     def test_duplicate_support_rejected(self):
         with pytest.raises(ValueError):
             make_flat_signal(5, [2, 2], [1, 1])
+
+    @pytest.mark.parametrize("support", [[7], [5, 1], [2, 9, 4], [1, 2, 3, 4], [8, 6, 3, 1]])
+    def test_matches_entrywise_reference(self, support):
+        n = 10
+        for signs in itertools.product((1, -1), repeat=len(support)):
+            ref = np.zeros(n)
+            for i, s in zip(support, signs):
+                ref[i - 1] = s * (1.0 / np.sqrt(len(support)))
+            for sup, sg in ((support, signs), (np.array(support), np.array(signs))):
+                assert make_flat_signal(n, sup, sg).values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("support, signs", [([0, 2], [1, 1]), ([3, 6], [1, -1]), ([2], [1, -1])])
+    def test_bad_support_rejected(self, support, signs):
+        with pytest.raises(ValueError):
+            make_flat_signal(5, support, signs)
 
 
 class TestApxFlatSignal:
@@ -214,3 +231,10 @@ class TestMetaSidecar:
         assert sorted(doc["truth"][0]["supports"][0]) == sorted(
             inst.truth_supports()[0]
         )
+        assert read_truth_supports(path) == inst.truth_supports()
+
+    def test_no_truth_reads_as_none(self, tmp_path):
+        spec = SignalSpec(n=8, p=2, k=2)
+        path = str(tmp_path / "y.sstf.meta.json")
+        write_meta_json(path, spec, 3)
+        assert read_truth_supports(path) is None
