@@ -86,8 +86,11 @@ class PhaseConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseConfig":
-        """Build from JSON keys; "r" defaults to [1]. A missing required key, an
-        unknown key or a grid that is not a list raises ValueError naming it."""
+        """Build from JSON keys; "r" defaults to [1]. A document that is not an
+        object, a missing required key, an unknown key or a grid that is not a
+        list raises ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"phase config must be a JSON object, got {type(d).__name__}")
         for key in ("n", "p", "k", "t", "lambda", "trials", "seed"):
             if key not in d:
                 raise ValueError(f"phase config is missing key '{key}'")

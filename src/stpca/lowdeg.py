@@ -3,10 +3,12 @@
 The degree-<=D chi-squared mass decomposes over multi-indices alpha of tensor
 entries; only alpha whose per-coordinate usage counts are all even contribute.
 Counting those alpha by the number s of distinct coordinates reduces the sum
-to exact integer combinatorics (even_surj_count over the closed-form power
-sums of even_all_count), evaluated in rational arithmetic, with a brute-force
-multiset oracle for cross-checking and the threshold calculators in both
-directions.
+to exact integer combinatorics over the closed-form power sums of
+even_all_count. One integer coefficient table per call folds in
+even_surj_count's inclusion-exclusion, so each degree is one dot product,
+evaluated in rational arithmetic. even_surj_count is the reference for that
+table, a brute-force multiset oracle cross-checks the totals, and the
+threshold calculators cover both directions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,24 +76,62 @@ def even_all_count(m: int, j: int) -> int:
 
     The exponential generating function is cosh(x)^j = 2^-j sum_i C(j, i)
     e^{(j - 2i) x}, so the count is 2^-j sum_i C(j, i) (j - 2i)^m. The power
-    sum vanishes for odd m (terms i and j - i cancel) and is 0^m for j = 0.
+    sum vanishes for odd m (terms i and j - i cancel). For even m those terms
+    are equal, so the half with i < j/2 is taken twice; the middle term
+    C(j, j/2) 0^m adds up to 2^j only at m = 0, where the count is 1.
     """
     if m < 0 or j < 0:
         raise ValueError("m and j must be nonnegative")
-    return sum(math.comb(j, i) * (j - 2 * i) ** m for i in range(j + 1)) >> j
+    if m % 2 == 1:
+        return 0
+    if m == 0:
+        return 1
+    return 2 * sum(math.comb(j, i) * (j - 2 * i) ** m for i in range((j + 1) // 2)) >> j
 
 
 def even_surj_count(m: int, s: int) -> int:
     """Length-m sequences using each of s labeled symbols an even, nonzero count.
 
     Inclusion-exclusion over which symbols actually appear. Zero for odd m or
-    s > m/2 (each used symbol needs count >= 2).
+    s > m/2 (each used symbol needs count >= 2). _degree_terms folds this
+    sum into its coefficient table; the tests check the table against it.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if m % 2 == 1 or s > m // 2:
         return 0
     return sum((-1) ** (s - j) * math.comb(s, j) * even_all_count(m, j) for j in range(s + 1))
+
+
+def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
+    """degree_term(n, k, p, d) for d = 1..D, from one integer coefficient table.
+
+    With m = pd, S = min(m/2, n) and r = k/n, swapping the sum over s with
+    even_surj_count's alternating sum gives
+    d! degree_term = sum_{j=1}^{S} c_j(S) even_all_count(m, j), where
+    c_j(S) = sum_{s=j}^{S} (-1)^{s-j} C(n, s) C(s, j) r^{2s}; j = 0 drops out
+    because even_all_count(m, 0) = 0^m. S never decreases with d, so each s
+    adds its row to the table once. Scaled by n^(2 S_max) every row is an
+    integer, and each degree costs one dot product and one Fraction.
+    """
+    s_max = min(p * D // 2, n)
+    scale = n ** (2 * s_max)
+    coeffs = [0]  # coeffs[j] = scale * c_j(S); j = 0 is never read
+    for d in range(1, D + 1):
+        m = p * d
+        if m % 2 == 1:
+            yield Fraction(0)
+            continue
+        S = min(m // 2, n)
+        for s in range(len(coeffs), S + 1):
+            coeffs.append(0)
+            # row = scale * C(n, s) r^{2s} C(s, j), walked down from j = s
+            row = math.comb(n, s) * k ** (2 * s) * n ** (2 * (s_max - s))
+            for j in range(s, 0, -1):
+                coeffs[j] += -row if (s - j) % 2 else row
+                row = row * j // (s - j + 1)
+        num = sum(coeffs[j] * even_all_count(m, j) for j in range(1, S + 1))
+        yield Fraction(num, scale * math.factorial(d))
 
 
 def degree_term(n: int, k: int, p: int, d: int) -> Fraction:
@@ -103,14 +144,8 @@ def degree_term(n: int, k: int, p: int, d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    m = p * d
-    if m % 2 == 1:
-        return Fraction(0)
-    ratio = Fraction(k, n)
-    total = Fraction(0)
-    for s in range(1, min(m // 2, n) + 1):
-        total += math.comb(n, s) * ratio ** (2 * s) * even_surj_count(m, s)
-    return total / math.factorial(d)
+    *_, term = _degree_terms(n, k, p, d)
+    return term
 
 
 def chi_squared_exact(params: LowDegParams, arithmetic: str = "exact-rational") -> ChiSqReport:
@@ -124,15 +159,15 @@ def chi_squared_exact(params: LowDegParams, arithmetic: str = "exact-rational") 
             f"D={D} exceeds 2n/p={2 * n / p:.3g}; counting range capped at s <= n",
             stacklevel=2,
         )
+    terms = enumerate(_degree_terms(n, k, p, D), start=1)
     per_degree: dict[int, Fraction | float] = {}
     if arithmetic == "exact-rational":
         lam_sq = Fraction(lam) ** 2
-        for d in range(1, D + 1):
-            per_degree[d] = lam_sq**d * degree_term(n, k, p, d) / Fraction(k) ** (p * d)
+        for d, term in terms:
+            per_degree[d] = lam_sq**d * term / Fraction(k) ** (p * d)
         total: Fraction | float = sum(per_degree.values(), Fraction(0))
     else:
-        for d in range(1, D + 1):
-            term = degree_term(n, k, p, d)
+        for d, term in terms:
             if lam == 0.0 or term == 0:
                 per_degree[d] = 0.0
                 continue

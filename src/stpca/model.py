@@ -299,11 +299,20 @@ def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstan
 
 def read_truth_supports(path: str) -> list[frozenset[int]] | None:
     """Truth supports from a :func:`write_meta_json` sidecar, one per planted
-    factor in planting order; None when the sidecar holds no truth."""
+    factor in planting order; None when the sidecar holds no truth. A sidecar
+    of any other shape raises ValueError naming the path."""
     with open(path) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: sidecar must be a JSON object, got {type(meta).__name__}")
     if "truth" not in meta:
         return None
-    if any("supports" not in sig for sig in meta["truth"]):
-        raise ValueError(f'{path}: truth entry without "supports"')
+    if not isinstance(meta["truth"], list):
+        raise ValueError(f'{path}: "truth" must be a list, got {type(meta["truth"]).__name__}')
+    for sig in meta["truth"]:
+        if not isinstance(sig, dict):
+            raise ValueError(f"{path}: truth entry must be an object, got {type(sig).__name__}")
+        supports = sig.get("supports")
+        if not isinstance(supports, list) or not all(isinstance(sup, list) for sup in supports):
+            raise ValueError(f'{path}: truth entry needs "supports", a list of index lists')
     return [frozenset(sup) for sig in meta["truth"] for sup in sig["supports"]]

@@ -266,6 +266,8 @@ def recover_multi(
     Y: DenseTensor, k: int, t: int, r: int, seed: int, workers: int = 1
 ) -> tuple[list[frozenset[int]], list[float]]:
     """r-round recovery with disjointness constraints; one split for all rounds."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     if r * k > Y.n:
         raise ValueError(f"need r*k <= n, got r={r}, k={k}, n={Y.n}")
     if not 1 <= t <= k:

@@ -210,16 +210,22 @@ class TestRejectedInput:
 
     @pytest.fixture
     def workdir(self, tmp_path):
-        for name in ("y.sstf", "no-supports.sstf"):
-            write_sstf1(DenseTensor.zeros(6, 3), str(tmp_path / name))
-        (tmp_path / "no-supports.sstf.meta.json").write_text(
-            json.dumps({"truth": [{"strength": 1.0, "composition": [3]}]})
-        )
+        sidecars = {
+            "no-supports": {"truth": [{"strength": 1.0, "composition": [3]}]},
+            "scalar-truth": {"truth": 5},
+            "scalar-truth-entry": {"truth": [5]},
+            "scalar-supports": {"truth": [{"supports": [5]}]},
+        }
+        for name in ("y", *sidecars):
+            write_sstf1(DenseTensor.zeros(6, 3), str(tmp_path / f"{name}.sstf"))
+        for name, doc in sidecars.items():
+            (tmp_path / f"{name}.sstf.meta.json").write_text(json.dumps(doc))
         config = {"n": [8], "p": [3], "k": [2], "t": [1], "lambda": [1.0], "trials": 1, "seed": 5}
         configs = {
             "missing-key.json": {key: v for key, v in config.items() if key != "t"},
             "scalar-grid.json": dict(config, n=10),
             "unknown-key.json": dict(config, lamda_mode="threshold-multiple"),
+            "scalar-config.json": 5,
         }
         for name, doc in configs.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -244,10 +250,21 @@ class TestRejectedInput:
          '"supports"'),
         (SAMPLE + ["--mode", "flat", "--ell", "3"], "ell=3"),
         (SAMPLE + ["--mode", "general", "--A", "2"], "A=2.0"),
+        (RECOVER + ["--t", "1", "--r", "0"], "r=0"),
+        (RECOVER + ["--t", "1", "--r", "-1"], "r=-1"),
+        (PHASE + ["{d}/scalar-config.json"], "JSON object"),
+        (["recover", "--in", "{d}/scalar-truth.sstf", "--k", "2", "--t", "1", "--seed", "0"],
+         '"truth"'),
+        (["recover", "--in", "{d}/scalar-truth-entry.sstf", "--k", "2", "--t", "1", "--seed", "0"],
+         "truth entry"),
+        (["recover", "--in", "{d}/scalar-supports.sstf", "--k", "2", "--t", "1", "--seed", "0"],
+         '"supports"'),
     ], ids=[
         "general-with-r", "general-with-workers", "general-t-above-k",
         "zero-trials", "negative-trials", "config-missing-key", "config-scalar-grid",
         "config-unknown-key", "truth-without-supports", "flat-with-ell", "general-with-A",
+        "zero-r", "negative-r", "config-not-object", "truth-not-list", "truth-entry-not-object",
+        "supports-not-index-lists",
     ])
     def test_exit_2(self, workdir, capsys, argv, named):
         code, out, err = run_cli(capsys, *[a.format(d=workdir) for a in argv])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import warnings
@@ -68,6 +69,44 @@ def recursive_even_all(m, j):
     return sum(math.comb(m, c) * recursive_even_all(m - c, j - 1) for c in range(0, m + 1, 2))
 
 
+def reference_degree_term(n, k, p, d):
+    """(1/d!) sum_s C(n, s) (k/n)^{2s} even_surj_count(pd, s), one degree at a time."""
+    m = p * d
+    if m % 2 == 1:
+        return Fraction(0)
+    ratio = Fraction(k, n)
+    total = sum(
+        (math.comb(n, s) * ratio ** (2 * s) * even_surj_count(m, s)
+         for s in range(1, min(m // 2, n) + 1)),
+        Fraction(0),
+    )
+    return total / math.factorial(d)
+
+
+def reference_log_float(lam, k, p, d, term):
+    """The log-float per-degree formula applied to a reference degree term."""
+    if lam == 0.0 or term == 0:
+        return 0.0
+    return math.exp(
+        2 * d * math.log(lam)
+        - p * d * math.log(k)
+        + math.log(term.numerator)
+        - math.log(term.denominator)
+    )
+
+
+@st.composite
+def lowdeg_params(draw):
+    n = draw(st.integers(1, 12))
+    return LowDegParams(
+        n=n,
+        k=draw(st.integers(1, n)),
+        p=draw(st.integers(2, 5)),
+        D=draw(st.integers(1, 10)),
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0, 1.7, 3.0])),
+    )
+
+
 class TestEvenAllCount:
     def test_two_one(self):
         assert even_all_count(2, 1) == 1
@@ -91,6 +130,13 @@ class TestEvenAllCount:
     @given(m=st.integers(0, 120), j=st.integers(0, 60))
     def test_closed_form_matches_recursion(self, m, j):
         assert even_all_count(m, j) == recursive_even_all(m, j)
+
+    def test_half_sum_matches_full_power_sum(self):
+        # odd m, m = 0 and j = 0 are the cases the half sum treats apart
+        for m in (0, 1, 2, 3, 7, 10, 33, 40):
+            for j in range(20):
+                full = sum(math.comb(j, i) * (j - 2 * i) ** m for i in range(j + 1)) >> j
+                assert even_all_count(m, j) == full
 
     def test_large_j_needs_no_recursion(self):
         # m=2: one of the j symbols, used twice
@@ -135,6 +181,19 @@ class TestDegreeTerm:
         assert degree_term(4, 2, 3, 1) == 0
         assert degree_term(4, 2, 3, 3) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(params=lowdeg_params())
+    def test_matches_per_degree_reference(self, params):
+        n, k, p = params.n, params.k, params.p
+        for d in range(1, params.D + 1):
+            assert degree_term(n, k, p, d) == reference_degree_term(n, k, p, d)
+
+    def test_matches_reference_past_the_s_cap(self):
+        # pd/2 > n for every d >= 2 here, so s stops at n while the degree grows
+        for d in range(1, 9):
+            assert degree_term(2, 1, 5, d) == reference_degree_term(2, 1, 5, d)
+            assert degree_term(3, 2, 4, d) == reference_degree_term(3, 2, 4, d)
+
     def test_matches_entry_multiset_oracle(self):
         # isolate d=2 from oracle totals at lam=1 (terms scale by k^{-pd})
         n, k, p = 3, 2, 2
@@ -162,6 +221,23 @@ class TestChiSquared:
             for n, k, D, lam in SMALL_GRID:
                 params = LowDegParams(n=n, k=k, p=2, D=D, lam=lam)
                 assert chi_squared_exact(params).total == chi_squared_oracle(params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=lowdeg_params())
+    def test_both_arithmetics_match_per_degree_reference(self, params):
+        n, k, p, D, lam = params.n, params.k, params.p, params.D, params.lam
+        terms = {d: reference_degree_term(n, k, p, d) for d in range(1, D + 1)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            exact = chi_squared_exact(params)
+            approx = chi_squared_exact(params, "log-float")
+        lam_sq = Fraction(lam) ** 2
+        expected = {d: lam_sq**d * t / Fraction(k) ** (p * d) for d, t in terms.items()}
+        assert exact.per_degree == expected
+        assert exact.total == sum(expected.values(), Fraction(0))
+        expected_log = {d: reference_log_float(lam, k, p, d, t) for d, t in terms.items()}
+        assert approx.per_degree == expected_log
+        assert approx.total == math.fsum(expected_log.values())
 
     def test_oracle_hand_case(self):
         # n=2, p=2, D=1, k=1, lam=1: of the 4 entries only the two diagonal
@@ -198,6 +274,23 @@ class TestChiSquared:
         assert isinstance(report, ChiSqReport)
         assert report.total == sum(report.per_degree.values())
         assert all(v >= 0 for v in report.per_degree.values())
+
+
+class TestLimitsConfig:
+    """n=2000, k=40, p=4, D=60: the configuration of the benchmark's limits op."""
+
+    PARAMS = LowDegParams(n=2000, k=40, p=4, D=60, lam=1.0)
+
+    def test_cold_cache_entries_and_exact_total(self):
+        even_all_count.cache_clear()
+        total = chi_squared_exact(self.PARAMS).total
+        # one entry per (pd, j) with 1 <= j <= pd/2 = 2d, and none for j = 0
+        assert even_all_count.cache_info().currsize == sum(2 * d for d in range(1, 61)) == 3660
+        digest = hashlib.sha256(f"{total.numerator}/{total.denominator}".encode()).hexdigest()
+        assert digest == "3778b4571db8c2f41f52f147d5fa8a2ffbc49899359749a40310f4480805e31a"
+
+    def test_log_float_total(self):
+        assert chi_squared_exact(self.PARAMS, "log-float").total == 1.062139598484739e-06
 
 
 class TestThresholds:
