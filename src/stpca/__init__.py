@@ -50,7 +50,6 @@ from .lowdeg import (
     degree_term,
     even_all_count,
     even_surj_count,
-    hermite_normalized,
     lower_bound_lambda,
     upper_bound_lambda,
 )

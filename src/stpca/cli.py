@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--k", type=int, required=True)
     pr.add_argument("--t", type=int, required=True)
     pr.add_argument("--r", type=int, default=1)
-    pr.add_argument("--ell", type=int, default=1)
+    pr.add_argument("--ell", type=_positive_int, default=1)
     pr.add_argument("--seed", type=int, required=True)
     pr.add_argument("--workers", type=_positive_int, default=1)
     pr.add_argument("--out")

@@ -22,11 +22,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .tensor import unflatten
 
-MAX_HERMITE_DEGREE = 40
 ORACLE_MULTISET_GUARD = 10**6
 
 
@@ -282,32 +279,3 @@ def upper_bound_lambda(n: int, k: int, p: int, D: int, eps: float) -> UpperBound
         lam2 = math.inf
         regime2_valid = False
     return UpperBoundReport(lam1, d_even, lam2, regime2_valid)
-
-
-def hermite_normalized(nth: int, z: float) -> float:
-    """Probabilists' Hermite polynomial at z, normalized by 1/sqrt(n!).
-
-    Orthonormal under N(0,1): h_0 = 1, h_1 = z, h_2 = (z^2 - 1)/sqrt(2).
-    """
-    if not 0 <= nth <= MAX_HERMITE_DEGREE:
-        raise ValueError(f"nth must be in [0, {MAX_HERMITE_DEGREE}]")
-    prev, cur = 1.0, z  # He_0, He_1
-    if nth == 0:
-        return 1.0
-    for m in range(1, nth):
-        prev, cur = cur, z * cur - m * prev
-    return cur / math.sqrt(math.factorial(nth))
-
-
-def hermite_moment(nth: int, mu: float) -> float:
-    """E_{z ~ N(mu, 1)}[h_nth(z)] = mu^nth / sqrt(nth!)."""
-    if not 0 <= nth <= MAX_HERMITE_DEGREE:
-        raise ValueError(f"nth must be in [0, {MAX_HERMITE_DEGREE}]")
-    return mu**nth / math.sqrt(math.factorial(nth))
-
-
-def hermite_moment_quadrature(nth: int, mu: float, order: int = 80) -> float:
-    """Same moment by Gauss-Hermite quadrature against the N(mu, 1) density."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-    values = np.array([hermite_normalized(nth, float(z) + mu) for z in nodes])
-    return float(weights @ values / math.sqrt(2 * math.pi))

@@ -2,7 +2,9 @@
 
 The algorithm family: split the observation into two independent copies,
 maximize <Y1, u^{xp}> over the t-sparse flat candidates U_t, then read off
-the signal support from the leave-one-mode contraction against Y2. Multi-
+the signal support from the leave-one-mode contraction against Y2. Only Y1
+is stored, beside the caller's Y; Y2 is derived on the contracted support
+blocks (see :func:`preprocess_split`), so a recovery holds two tensors. Multi-
 spike recovery repeats the round with the already-recovered indices
 forbidden; the general-tensor variant searches over tuples of disjoint
 candidates across mode compositions. Every search streams its family with
@@ -24,6 +26,7 @@ from .tensor import (
     DenseTensor,
     DenseUnitVector,
     SparseSignVector,
+    SplitHalf,
     contract_leave_mode,
     contract_leave_one,
     rank1_inner,
@@ -61,18 +64,18 @@ class RecoveryReport:
         }
 
 
-def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, DenseTensor]:
+def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, SplitHalf]:
     """Split Y into two independent copies Y1 = (Y+Z)/sqrt2, Y2 = (Y-Z)/sqrt2.
 
-    Allocates two tensor-sized buffers, Y1 and Z; Y2 is computed in Z's.
+    Allocates one tensor-sized buffer, the noise Z, and computes Y1 in it.
+    Y2 = sqrt2*Y - Y1 is a :class:`SplitHalf` over Y and Y1: the recoveries
+    read it only on support blocks, so it is derived there and never stored.
     """
     Z = substream(seed, "split").standard_normal(Y.data.shape[0])
-    s = 1.0 / np.sqrt(2.0)
-    Y1 = np.add(Y.data, Z)
-    Y1 *= s
-    np.subtract(Y.data, Z, out=Z)
-    Z *= s
-    return DenseTensor._owned(Y.n, Y.p, Y1), DenseTensor._owned(Y.n, Y.p, Z)
+    Z += Y.data
+    Z *= 1.0 / np.sqrt(2.0)
+    Y1 = DenseTensor._owned(Y.n, Y.p, Z)
+    return Y1, SplitHalf(Y, Y1)
 
 
 def candidate_count(n: int, t: int, n_forbidden: int, p: int) -> int:

@@ -11,11 +11,13 @@ indices), so k-sparse factors cost O(k^p) work instead of O(n^p).
 Copy contract: the public ``DenseTensor(n, p, data)`` copies ``data`` and
 freezes the copy, so a caller's array never aliases a tensor. A buffer the
 library has just allocated (sampled noise, the output of :func:`add_rank1`,
-the split halves, a file read back) is wrapped with ``DenseTensor._owned``,
-which runs the same checks and freezes it without a copy. Sampling therefore
-peaks at two tensor sizes (the noise and the copy that :func:`add_rank1`
-makes), SSTF1 I/O streams without an extra copy, and a recovery holds
-``Y1`` and ``Y2`` beside the caller's ``Y``.
+the split half ``Y1``, a file read back) is wrapped with
+``DenseTensor._owned``, which runs the same checks and freezes it without a
+copy. The other split half is a :class:`SplitHalf`: ``Y2 = sqrt2*Y - Y1``,
+derived block by block from the two tensors and never stored. Sampling
+therefore peaks at two tensor sizes (the noise and the copy that
+:func:`add_rank1` makes), SSTF1 I/O streams without an extra copy, and a
+recovery holds ``Y1`` alone beside the caller's ``Y``: two tensors in all.
 """
 
 from __future__ import annotations
@@ -194,28 +196,57 @@ class DenseTensor:
         """Read-only view shaped (n,) * p."""
         return self.data.reshape((self.n,) * self.p)
 
-    def __getitem__(self, coords: tuple[int, ...]) -> float:
-        return float(self.data[flat_index(coords, self.n)])
-
-    def max_abs_diff(self, other: DenseTensor) -> float:
-        _check_same_shape(self, other)
-        return float(np.max(np.abs(self.data - other.data)))
-
-
-def _check_same_shape(a: DenseTensor, b: DenseTensor) -> None:
-    if a.n != b.n or a.p != b.p:
-        raise DimensionMismatchError(
-            f"shape mismatch: (n={a.n}, p={a.p}) vs (n={b.n}, p={b.p})"
-        )
+    def block(self, ix: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The entries on an ``np.ix_`` index, as a new read-only array."""
+        out = self.as_ndarray()[ix]
+        out.setflags(write=False)
+        return out
 
 
-def _check_factor(Y: DenseTensor, v: FactorVector) -> None:
+@dataclass(frozen=True)
+class SplitHalf:
+    """The split half ``sqrt2*Y - Y1`` of an observation Y and its other half Y1.
+
+    It holds no entries of its own: :meth:`block` derives the entries on an
+    ``np.ix_`` index from the same block of Y and Y1, so a contraction that
+    reads only a support block costs no tensor-sized buffer. There is no
+    ``data``; reading it raises AttributeError rather than hand back Y.
+    """
+
+    Y: DenseTensor = field(repr=False)
+    Y1: DenseTensor = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.Y.n
+
+    @property
+    def p(self) -> int:
+        return self.Y.p
+
+    @property
+    def data(self):
+        raise AttributeError("a SplitHalf stores no entries; read them with block()")
+
+    def block(self, ix: tuple[np.ndarray, ...]) -> np.ndarray:
+        """sqrt2*Y - Y1 on an ``np.ix_`` index, as a new read-only array."""
+        out = np.sqrt(2.0) * self.Y.as_ndarray()[ix]
+        out -= self.Y1.as_ndarray()[ix]
+        out.setflags(write=False)
+        return out
+
+
+# what the contractions read: a stored tensor or a derived split half
+Tensor = DenseTensor | SplitHalf
+
+
+def _check_factor(Y: Tensor, v: FactorVector) -> None:
     if v.n != Y.n:
         raise DimensionMismatchError(f"factor dimension {v.n} != tensor dimension {Y.n}")
 
 
 def _support_block(
-    Y: DenseTensor, factors: list[FactorVector], free_mode: int | None = None
+    Y: Tensor, factors: list[FactorVector], free_mode: int | None = None
 ) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
     """np.ix_ index of Y's block on the product of the factors' supports, and values.
 
@@ -236,10 +267,10 @@ def _support_block(
     return np.ix_(*axes), values
 
 
-def _contract(Y: DenseTensor, factors: list[FactorVector], free_mode: int | None = None):
+def _contract(Y: Tensor, factors: list[FactorVector], free_mode: int | None = None):
     """Contract the support block with the factor values; the free mode stays."""
     block, values = _support_block(Y, factors, free_mode)
-    acc = Y.as_ndarray()[block]
+    acc = Y.block(block)
     if free_mode is not None:
         acc = np.moveaxis(acc, free_mode, 0)
     for vals in reversed(values):
@@ -247,12 +278,12 @@ def _contract(Y: DenseTensor, factors: list[FactorVector], free_mode: int | None
     return acc
 
 
-def rank1_inner(Y: DenseTensor, factors: list[FactorVector]) -> float:
+def rank1_inner(Y: Tensor, factors: list[FactorVector]) -> float:
     """<Y, u_1 x ... x u_p>, the rank-one inner product over the support block."""
     return float(_contract(Y, factors))
 
 
-def contract_leave_one(Y: DenseTensor, v: FactorVector) -> np.ndarray:
+def contract_leave_one(Y: Tensor, v: FactorVector) -> np.ndarray:
     """alpha with alpha_l = <Y, v^{x(p-1)} x e_l>; the free slot is the last mode.
 
     One pass costing O(k^{p-1} * n) for a k-sparse v.
@@ -261,7 +292,7 @@ def contract_leave_one(Y: DenseTensor, v: FactorVector) -> np.ndarray:
 
 
 def contract_leave_mode(
-    Y: DenseTensor, factors: list[FactorVector], free_mode: int
+    Y: Tensor, factors: list[FactorVector], free_mode: int
 ) -> np.ndarray:
     """All n values of <Y, u_1 x ... x e_l at free_mode x ... x u_p>.
 
@@ -286,11 +317,12 @@ def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseT
 
 def write_sstf1(Y: DenseTensor, path: str) -> None:
     """Write the binary SSTF1 format (magic, version, p, n, LE doubles)."""
+    payload = np.asarray(Y.data, "<f8")  # no copy on a little-endian host
     with open(path, "wb") as f:
         f.write(SSTF1_MAGIC)
         f.write(bytes([SSTF1_VERSION]))
         f.write(struct.pack("<II", Y.p, Y.n))
-        f.write(np.asarray(Y.data, "<f8"))  # no copy on a little-endian host
+        f.write(payload)
 
 
 def read_sstf1(path: str) -> DenseTensor:

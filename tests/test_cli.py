@@ -276,6 +276,15 @@ class TestRejectedInput:
         assert not list(workdir.glob("out.sstf*"))
         assert not (workdir / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("ell", ["0", "-2"])
+    def test_nonpositive_ell_is_usage_error(self, workdir, capsys, ell):
+        # once recovered quietly as if ell=1
+        argv = [a.format(d=workdir) for a in self.RECOVER + ["--t", "1", "--ell", ell]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--ell" in capsys.readouterr().err
+
 
 class TestTruthMismatch:
     def test_count_mismatch_reported(self, tmp_path, capsys):

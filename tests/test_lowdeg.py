@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,6 @@ from stpca.lowdeg import (
     degree_term,
     even_all_count,
     even_surj_count,
-    hermite_moment,
-    hermite_moment_quadrature,
-    hermite_normalized,
     lower_bound_lambda,
     upper_bound_lambda,
 )
@@ -336,7 +334,41 @@ class TestThresholds:
                 assert total >= eps
 
 
+MAX_HERMITE_DEGREE = 40
+
+
+def hermite_normalized(nth: int, z: float) -> float:
+    """Probabilists' Hermite polynomial at z, normalized by 1/sqrt(n!).
+
+    Orthonormal under N(0,1): h_0 = 1, h_1 = z, h_2 = (z^2 - 1)/sqrt(2).
+    """
+    if not 0 <= nth <= MAX_HERMITE_DEGREE:
+        raise ValueError(f"nth must be in [0, {MAX_HERMITE_DEGREE}]")
+    prev, cur = 1.0, z  # He_0, He_1
+    if nth == 0:
+        return 1.0
+    for m in range(1, nth):
+        prev, cur = cur, z * cur - m * prev
+    return cur / math.sqrt(math.factorial(nth))
+
+
+def hermite_moment(nth: int, mu: float) -> float:
+    """E_{z ~ N(mu, 1)}[h_nth(z)] = mu^nth / sqrt(nth!)."""
+    if not 0 <= nth <= MAX_HERMITE_DEGREE:
+        raise ValueError(f"nth must be in [0, {MAX_HERMITE_DEGREE}]")
+    return mu**nth / math.sqrt(math.factorial(nth))
+
+
+def hermite_moment_quadrature(nth: int, mu: float, order: int = 80) -> float:
+    """Same moment by Gauss-Hermite quadrature against the N(mu, 1) density."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    values = np.array([hermite_normalized(nth, float(z) + mu) for z in nodes])
+    return float(weights @ values / math.sqrt(2 * math.pi))
+
+
 class TestHermite:
+    """The Hermite oracles behind the per-entry moment E[h_n(z)] = mu^n / sqrt(n!)."""
+
     def test_low_orders(self):
         for z in (-1.3, 0.0, 0.4, 2.0):
             assert hermite_normalized(0, z) == 1.0
@@ -354,8 +386,6 @@ class TestHermite:
                 )
 
     def test_orthonormality(self):
-        import numpy as np
-
         nodes, weights = np.polynomial.hermite_e.hermegauss(80)
         norm = math.sqrt(2 * math.pi)
         for m in range(9):

@@ -2,14 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm, sample_general_instance
+from stpca.model import (
+    SignalSpec,
+    sample_general_instance,
+    sample_noise_tensor,
+    sample_sstm,
+    substream,
+)
 from stpca.recovery import (
     EnumerationError,
+    argmax_over_family,
     argmax_over_Ut,
     candidate_count,
     distinguish,
     enumerate_candidates,
+    family_chunks,
     match_supports,
     preprocess_split,
     recover_general,
@@ -19,12 +29,27 @@ from stpca.recovery import (
     threshold_lambda_general,
     top_k_magnitude,
 )
-from stpca.tensor import DenseTensor, DenseUnitVector, SparseSignVector, add_rank1
+from stpca.tensor import (
+    DenseTensor,
+    DenseUnitVector,
+    SparseSignVector,
+    add_rank1,
+    contract_leave_mode,
+    contract_leave_one,
+    rank1_inner,
+)
+
+EPS = np.finfo(np.float64).eps
 
 
 def flat_spike_tensor(n, p, support, lam):
     x = SparseSignVector(n, tuple(support), (1,) * len(support))
     return add_rank1(DenseTensor.zeros(n, p), lam, [x] * p), x
+
+
+def entries(T):
+    """Every entry of a tensor or split half, read through its full block."""
+    return T.block(np.ix_(*[np.arange(T.n)] * T.p)).ravel()
 
 
 class TestPreprocessSplit:
@@ -33,20 +58,113 @@ class TestPreprocessSplit:
         for seed in range(20):
             Y = DenseTensor(5, 3, rng.standard_normal(125))
             Y1, Y2 = preprocess_split(Y, seed)
-            back = DenseTensor(5, 3, (Y1.data + Y2.data) / np.sqrt(2))
-            assert back.max_abs_diff(Y) <= 1e-12
+            back = DenseTensor(5, 3, (Y1.data + entries(Y2)) / np.sqrt(2))
+            assert np.max(np.abs(back.data - Y.data)) <= 1e-12
 
     def test_zero_input_gives_opposite_halves(self):
         Y1, Y2 = preprocess_split(DenseTensor.zeros(4, 2), 7)
-        assert np.allclose(Y1.data, -Y2.data, atol=1e-15)
+        assert np.allclose(Y1.data, -entries(Y2), atol=1e-15)
         assert not np.allclose(Y1.data, 0.0)
 
     def test_halves_decorrelated(self):
         # pure noise: the two halves are independent N(0,1) tensors
         Y = sample_noise_tensor(10, 5, 3)  # 1e5 entries
         Y1, Y2 = preprocess_split(Y, 3)
-        corr = np.corrcoef(Y1.data, Y2.data)[0, 1]
+        corr = np.corrcoef(Y1.data, entries(Y2))[0, 1]
         assert abs(corr) <= 4 / np.sqrt(1e5)
+
+
+def reference_split(Y, seed):
+    """Both halves stored, as the paper writes them, and the split noise Z."""
+    Z = substream(seed, "split").standard_normal(Y.data.size)
+    s = 1.0 / np.sqrt(2.0)
+    return DenseTensor(Y.n, Y.p, (Y.data + Z) * s), DenseTensor(Y.n, Y.p, (Y.data - Z) * s), Z
+
+
+def reference_recover_multi(Y, k, t, r, seed):
+    """recover_multi's rounds against a stored Y2."""
+    Y1, Y2, _ = reference_split(Y, seed)
+    recovered, values, forbidden = [], [], set()
+    for _ in range(r):
+        v, value = argmax_over_Ut(Y1, t, forbidden)
+        support = top_k_magnitude(contract_leave_one(Y2, v), k)
+        recovered.append(support)
+        values.append(value)
+        forbidden |= support
+    return recovered, values
+
+
+def reference_recover_general(Y, k, t, ell, seed):
+    """recover_general's search and read-off against a stored Y2."""
+    Y1, Y2, _ = reference_split(Y, seed)
+    value, (comp, cands) = argmax_over_family(Y1.data, family_chunks(Y.n, Y.p, t, ell))
+    factors = [SparseSignVector(Y.n, *cand) for cand, m in zip(cands, comp) for _ in range(m)]
+    supports = [top_k_magnitude(contract_leave_mode(Y2, factors, sum(comp[: q + 1]) - 1), k)
+                for q in range(ell)]
+    return supports, value
+
+
+@st.composite
+def split_cases(draw):
+    """(Y, t, seed) over n <= 7, p in {2, 3, 4}, t <= 3, entries at three scales."""
+    p = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 7))
+    t = draw(st.integers(1, min(3, n)))
+    seed = draw(st.integers(0, 2**63 - 1))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    Y = DenseTensor(n, p, scale * np.random.default_rng(seed).standard_normal(n**p))
+    return Y, t, seed
+
+
+def sparse_factor(draw, n, t):
+    support = sorted(draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=t, max_size=t))
+    return SparseSignVector(n, tuple(support), tuple(signs))
+
+
+class TestDerivedHalf:
+    """Y2 = sqrt2*Y - Y1, derived per block, against the stored (Y - Z)/sqrt2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=split_cases(), data=st.data())
+    def test_contractions_match_stored_half(self, case, data):
+        Y, t, seed = case
+        n, p = Y.n, Y.p
+        _, stored, Z = reference_split(Y, seed)
+        _, Y2 = preprocess_split(Y, seed)
+        factors = [sparse_factor(data.draw, n, t) for _ in range(p)]
+        # 4 eps * max(|Y|, |Z|) per term; every factor value is at most 1 in magnitude
+        per_term = 4 * EPS * np.max(np.maximum(np.abs(Y.data), np.abs(Z)))
+        tol = per_term * t ** (p - 1)
+        v = factors[0]
+        assert np.all(np.abs(contract_leave_one(Y2, v) - contract_leave_one(stored, v)) <= tol)
+        for m in range(p):
+            diff = contract_leave_mode(Y2, factors, m) - contract_leave_mode(stored, factors, m)
+            assert np.all(np.abs(diff) <= tol)
+        assert abs(rank1_inner(Y2, factors) - rank1_inner(stored, factors)) <= tol * t
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=split_cases(), data=st.data())
+    def test_recover_multi_matches_stored_half(self, case, data):
+        Y, t, seed = case
+        k = data.draw(st.integers(t, Y.n))
+        r = data.draw(st.integers(1, Y.n // k))
+        recovered, values = recover_multi(Y, k, t, r, seed)
+        ref_recovered, ref_values = reference_recover_multi(Y, k, t, r, seed)
+        assert recovered == ref_recovered
+        assert [v.hex() for v in values] == [v.hex() for v in ref_values]
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=split_cases(), data=st.data())
+    def test_recover_general_matches_stored_half(self, case, data):
+        Y, t, seed = case
+        k = data.draw(st.integers(t, Y.n))
+        # composite families with t > 1 stay at two parts, so an example costs < 1 s
+        ell = data.draw(st.integers(1, min(Y.p, Y.n // t, 2 if t > 1 else Y.p)))
+        supports, value = recover_general(Y, k, t, ell, seed)
+        ref_supports, ref_value = reference_recover_general(Y, k, t, ell, seed)
+        assert supports == ref_supports
+        assert value.hex() == ref_value.hex()
 
 
 class TestEnumerateCandidates:

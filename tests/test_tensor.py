@@ -31,7 +31,7 @@ def naive_rank1_inner(Y, factors):
     dense = [f.to_dense() for f in factors]
     total = 0.0
     for coords in itertools.product(range(1, n + 1), repeat=p):
-        prod = Y[coords]
+        prod = float(Y.data[flat_index(coords, n)])
         for j, c in enumerate(coords):
             prod *= dense[j][c - 1]
         total += prod
