@@ -179,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check-concentration",
                         help="empirical max of the noise form vs the theory bound")
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--t", type=int, required=True)
+    pc.add_argument("--n", type=_positive_int, required=True)
+    pc.add_argument("--p", type=_positive_int, required=True)
+    pc.add_argument("--t", type=_positive_int, required=True)
     pc.add_argument("--r", type=int, default=1)
     pc.add_argument("--gamma", type=float, default=0.05)
     pc.add_argument("--trials", type=int, default=200)

@@ -3,6 +3,12 @@
 Every sampler is a pure function of (parameters, seed). A single 64-bit
 master seed derives labeled sub-streams via :func:`substream`, so tests can
 regenerate any component (noise, supports, signs, magnitudes) independently.
+A tensor-sized Gaussian draw (the noise W, the split noise Z) is filled in
+blocks of NOISE_BLOCK = 2^20 entries, in parallel threads: block 0 comes from
+the label's own stream and block b >= 1 from the stream of (label, b), so the
+result does not depend on the thread count. A tensor of at most 2^20 entries
+is one block and keeps the bits of a single serial draw; a larger one differs
+from the single serial stream that earlier versions drew.
 `sample_sstm` serves every `SignalSpec` mode (flat, apx-flat, general) through
 one loop over spikes and their factors.
 """
@@ -10,6 +16,8 @@ one loop over spikes and their factors.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +25,8 @@ import numpy as np
 from .tensor import DenseTensor, DenseUnitVector, SparseSignVector, add_rank1, check_capacity
 
 MODES = ("flat", "apx-flat", "general")
+# entries per independently seeded block of a tensor-sized normal draw
+NOISE_BLOCK = 2**20
 
 
 def substream(master_seed: int, *labels) -> np.random.Generator:
@@ -37,6 +47,32 @@ def substream(master_seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _standard_normal(master_seed: int, label: str, size: int) -> np.ndarray:
+    """`size` i.i.d. N(0,1) doubles in one buffer, filled in NOISE_BLOCK blocks.
+
+    Block 0 is drawn from substream(master_seed, label), so a draw of at most
+    NOISE_BLOCK entries equals substream(master_seed, label).standard_normal(size);
+    block b >= 1 is drawn from substream(master_seed, label, b). Several blocks
+    are filled by a thread pool (numpy releases the GIL while it fills), each
+    writing its own slice, so the bits depend only on (master_seed, label, size).
+    """
+    out = np.empty(size)
+
+    def fill(b: int) -> None:
+        labels = (label, b) if b else (label,)
+        start = b * NOISE_BLOCK
+        substream(master_seed, *labels).standard_normal(out=out[start : start + NOISE_BLOCK])
+
+    blocks = range(-(-size // NOISE_BLOCK))
+    if len(blocks) < 2:
+        for b in blocks:
+            fill(b)
+    else:
+        with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(blocks))) as pool:
+            list(pool.map(fill, blocks))
+    return out
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Parameters of the planted signal(s): Y = W + sum_q strengths[q] * x_q^{xp}."""
@@ -51,6 +87,8 @@ class SignalSpec:
     ell: int = 1  # distinct factors per spike; 1 unless mode is "general"
 
     def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"need tensor order p >= 2, got p={self.p}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.A < 1:
@@ -149,10 +187,9 @@ class RademacherPriorSample:
 
 
 def sample_noise_tensor(n: int, p: int, seed: int) -> DenseTensor:
-    """I.i.d. N(0,1) tensor from the "noise" sub-stream of `seed`."""
-    size = check_capacity(n, p)
-    rng = substream(seed, "noise")
-    return DenseTensor._owned(n, p, rng.standard_normal(size))
+    """I.i.d. N(0,1) tensor from the "noise" sub-streams of `seed` (see
+    :func:`_standard_normal` for the block layout)."""
+    return DenseTensor._owned(n, p, _standard_normal(seed, "noise", check_capacity(n, p)))
 
 
 def make_flat_signal(n: int, support, signs) -> DenseUnitVector:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import substream
+from .model import _standard_normal
 from .tensor import (
     DenseTensor,
     DenseUnitVector,
@@ -71,7 +71,7 @@ def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, SplitHalf]
     Y2 = sqrt2*Y - Y1 is a :class:`SplitHalf` over Y and Y1: the recoveries
     read it only on support blocks, so it is derived there and never stored.
     """
-    Z = substream(seed, "split").standard_normal(Y.data.shape[0])
+    Z = _standard_normal(seed, "split", Y.data.shape[0])
     Z += Y.data
     Z *= 1.0 / np.sqrt(2.0)
     Y1 = DenseTensor._owned(Y.n, Y.p, Z)

@@ -259,12 +259,13 @@ class TestRejectedInput:
          "truth entry"),
         (["recover", "--in", "{d}/scalar-supports.sstf", "--k", "2", "--t", "1", "--seed", "0"],
          '"supports"'),
+        (SAMPLE + ["--p", "0"], "p=0"),
     ], ids=[
         "general-with-r", "general-with-workers", "general-t-above-k",
         "zero-trials", "negative-trials", "config-missing-key", "config-scalar-grid",
         "config-unknown-key", "truth-without-supports", "flat-with-ell", "general-with-A",
         "zero-r", "negative-r", "config-not-object", "truth-not-list", "truth-entry-not-object",
-        "supports-not-index-lists",
+        "supports-not-index-lists", "zero-p",
     ])
     def test_exit_2(self, workdir, capsys, argv, named):
         code, out, err = run_cli(capsys, *[a.format(d=workdir) for a in argv])
@@ -284,6 +285,16 @@ class TestRejectedInput:
             main(argv)
         assert exc.value.code == 1
         assert "--ell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n", "--p", "--t"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_concentration_size_is_usage_error(self, capsys, flag, value):
+        # --t 0 once ended in a ZeroDivisionError traceback, --t -1 and --p 0 exited 2
+        with pytest.raises(SystemExit) as exc:
+            main(self.CONCENTRATION + [flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
 
 class TestTruthMismatch:

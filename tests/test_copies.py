@@ -3,7 +3,9 @@
 The public constructor copies and freezes; buffers the library allocates
 itself are wrapped without a copy, and the split half Y2 is derived block by
 block rather than stored. Budgets are tracemalloc peaks in units of
-one tensor (n^p doubles), measured at n=50, p=3 (1 MB).
+one tensor (n^p doubles), measured at n=50, p=3 (1 MB), and for the two
+tensor-sized normal draws also at n=104, p=3 (1,124,864 entries, two
+NOISE_BLOCK blocks filled by threads into the one output buffer).
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm, substream
+from stpca.model import NOISE_BLOCK, SignalSpec, sample_noise_tensor, sample_sstm, substream
 from stpca.recovery import preprocess_split, recover_general, recover_multi
 from stpca.tensor import (
     DenseTensor,
@@ -26,6 +28,7 @@ from stpca.tensor import (
 
 N, P = 50, 3
 TENSOR_BYTES = 8 * N**P
+N_BLOCKS = 104  # N_BLOCKS**P spans two NOISE_BLOCK blocks
 EPS = np.finfo(np.float64).eps
 
 
@@ -34,8 +37,9 @@ def entries(T):
     return T.block(np.ix_(*[np.arange(T.n)] * T.p)).ravel()
 
 
-def alloc_peak(fn, *args):
-    """fn(*args) and its allocation peak above the level at entry, in tensor sizes.
+def alloc_peak(fn, *args, tensor_bytes=TENSOR_BYTES):
+    """fn(*args) and its allocation peak above the level at entry, in units of
+    `tensor_bytes` (by default one n=50, p=3 tensor).
 
     fn runs once beforehand, so one-time lazy set-up (numpy's first draw from
     a generator allocates scratch memory) is not counted against the call.
@@ -48,7 +52,7 @@ def alloc_peak(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return out, (peak - base) / TENSOR_BYTES
+    return out, (peak - base) / tensor_bytes
 
 
 @pytest.fixture
@@ -61,6 +65,11 @@ def spike():
 class TestCopyBudget:
     def test_sample_noise_tensor(self):
         _, peak = alloc_peak(sample_noise_tensor, N, P, 1)
+        assert peak <= 1.1
+
+    def test_sample_noise_tensor_blocks(self):
+        assert N_BLOCKS**P > NOISE_BLOCK
+        _, peak = alloc_peak(sample_noise_tensor, N_BLOCKS, P, 1, tensor_bytes=8 * N_BLOCKS**P)
         assert peak <= 1.1
 
     def test_add_rank1(self, spike):
@@ -82,6 +91,11 @@ class TestCopyBudget:
     def test_preprocess_split(self):
         Y = sample_noise_tensor(N, P, 1)
         _, peak = alloc_peak(preprocess_split, Y, 1)
+        assert peak <= 1.1
+
+    def test_preprocess_split_blocks(self):
+        Y = sample_noise_tensor(N_BLOCKS, P, 1)
+        _, peak = alloc_peak(preprocess_split, Y, 1, tensor_bytes=8 * N_BLOCKS**P)
         assert peak <= 1.1
 
     # a recovery stores Y1 alone beside the caller's Y; a stored Y2 would read 2.0

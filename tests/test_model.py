@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stpca.model import (
+    NOISE_BLOCK,
     SignalSpec,
+    _standard_normal,
     make_flat_signal,
     read_truth_supports,
     sample_apx_flat_signal,
@@ -17,7 +19,58 @@ from stpca.model import (
     substream,
     write_meta_json,
 )
+from stpca.recovery import preprocess_split
 from stpca.tensor import DenseTensor, add_rank1
+
+
+def serial_blocks(seed, label, size):
+    """The blocked draw one block after another: block 0 from the label's
+    stream, block b from (label, b)."""
+    parts = []
+    for b, start in enumerate(range(0, size, NOISE_BLOCK)):
+        rng = substream(seed, *((label, b) if b else (label,)))
+        parts.append(rng.standard_normal(min(NOISE_BLOCK, size - start)))
+    return np.concatenate(parts)
+
+
+class TestBlockedNormal:
+    @pytest.mark.parametrize("size", [1, 7, NOISE_BLOCK - 1, NOISE_BLOCK])
+    def test_one_block_is_the_label_stream(self, size):
+        expected = substream(11, "noise").standard_normal(size)
+        assert np.array_equal(_standard_normal(11, "noise", size), expected)
+
+    @pytest.mark.parametrize("size", [NOISE_BLOCK + 1, 2 * NOISE_BLOCK, 2 * NOISE_BLOCK + 3])
+    def test_blocks_match_serial_reference(self, size):
+        out = _standard_normal(11, "split", size)
+        assert out.shape == (size,) and out.dtype == np.float64
+        assert np.array_equal(out, serial_blocks(11, "split", size))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_independent_of_cpu_count(self, monkeypatch, cpus):
+        size = 3 * NOISE_BLOCK + 5
+        expected = serial_blocks(4, "noise", size)
+        monkeypatch.setattr("stpca.model.os.sched_getaffinity", lambda pid: set(range(cpus)))
+        assert np.array_equal(_standard_normal(4, "noise", size), expected)
+
+    def test_blocks_are_distinct_streams(self):
+        out = _standard_normal(9, "noise", 2 * NOISE_BLOCK)
+        block0, block1 = out[:NOISE_BLOCK], out[NOISE_BLOCK:]
+        assert not np.any(block0 == block1)
+        assert abs(np.corrcoef(block0, block1)[0, 1]) <= 4 / np.sqrt(NOISE_BLOCK)
+
+    def test_tensor_draws_use_the_blocks(self):
+        # n=104, p=3: 1,124,864 entries, two blocks
+        n, p, seed = 104, 3, 6
+        Y = sample_noise_tensor(n, p, seed)
+        assert np.array_equal(Y.data, serial_blocks(seed, "noise", n**p))
+        Y1, _ = preprocess_split(Y, seed)
+        expected = (Y.data + serial_blocks(seed, "split", n**p)) * (1.0 / np.sqrt(2.0))
+        assert np.array_equal(Y1.data, expected)
+
+    def test_single_block_tensor_keeps_serial_bits(self):
+        # the scan workload's tensor, 64,000 entries
+        Y = sample_noise_tensor(40, 3, 2)
+        assert np.array_equal(Y.data, substream(2, "noise").standard_normal(40**3))
 
 
 class TestSubstream:
@@ -152,6 +205,11 @@ class TestSampleSstm:
     def test_general_mode_plants_one_spike(self):
         with pytest.raises(ValueError, match="r=2"):
             SignalSpec(n=20, p=3, k=2, r=2, strengths=(2.0, 1.0), mode="general", ell=2)
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_order_below_two_rejected(self, p):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            SignalSpec(n=10, p=p, k=2, strengths=(5.0,))
 
     def test_strength_count_named_in_error(self):
         with pytest.raises(ValueError, match="r=3 and 2 strengths"):
