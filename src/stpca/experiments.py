@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .model import SignalSpec, sample_noise_tensor, sample_sstm, substream
 from .recovery import (
     argmax_over_family,
+    candidate_count,
     family_chunks,
     match_supports,
     recover_multi,
@@ -222,16 +223,13 @@ def check_concentration(
         raise ValueError("r must be 1 or 2 at desk scale")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if math.comb(n, t) * 2**t > CONCENTRATION_CANDIDATE_GUARD:
-        raise ValueError("candidate family exceeds feasibility guard")
-    # one family, kept and scored against every trial's noise tensor
-    family, size = [], 0
-    for chunk in family_chunks(n, p, t, r):
-        size += len(chunk[0])
-        if size > CONCENTRATION_PAIR_GUARD:
-            raise ValueError("candidate pair family exceeds guard")
-        family.append(chunk)
+    size = candidate_count(n, t, 0, p, r)
+    guard = CONCENTRATION_CANDIDATE_GUARD if r == 1 else CONCENTRATION_PAIR_GUARD
+    if size > guard:
+        raise ValueError(f"candidate family of {size} members exceeds feasibility guard {guard}")
     bound = concentration_bound(n, p, t, r, gamma)
+    # one family, kept and scored against every trial's noise tensor
+    family = list(family_chunks(n, p, t, r))
     per_trial_max = []
     for trial in range(trials):
         W = sample_noise_tensor(n, p, trial_seed(seed, 0, trial))

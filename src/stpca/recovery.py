@@ -8,7 +8,8 @@ blocks (see :func:`preprocess_split`), so a recovery holds two tensors. Multi-
 spike recovery repeats the round with the already-recovered indices
 forbidden; the general-tensor variant searches over tuples of disjoint
 candidates across mode compositions. Every search streams its family with
-:func:`family_chunks` and scores it with :func:`argmax_over_family`.
+:func:`family_chunks` and scores it with :func:`argmax_over_family`. Every
+size guard and feasibility check reads :func:`candidate_count`; 0 is infeasible.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ FAMILY_CHUNK_SIZE = 1024
 
 
 class EnumerationError(ValueError):
-    """Too few free coordinates to enumerate t-sparse candidates."""
+    """The candidate family is empty: too few free coordinates."""
 
 
 @dataclass
@@ -54,15 +55,6 @@ class RecoveryReport:
     def all_exact(self) -> bool:
         return all(self.exact)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "recovered": [sorted(s) for s in self.recovered],
-            "matching": self.matching,
-            "exact": self.exact,
-            "overlap": self.overlap,
-            "argmax_values": self.argmax_values,
-        }
-
 
 def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, SplitHalf]:
     """Split Y into two independent copies Y1 = (Y+Z)/sqrt2, Y2 = (Y-Z)/sqrt2.
@@ -78,12 +70,24 @@ def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, SplitHalf]
     return Y1, SplitHalf(Y, Y1)
 
 
-def candidate_count(n: int, t: int, n_forbidden: int, p: int) -> int:
-    """|U_t| after removing forbidden coordinates and (for even p) sign flips."""
+def candidate_count(n: int, t: int, n_forbidden: int, p: int, ell: int = 1) -> int:
+    """Members :func:`family_chunks` streams for these arguments (|U_t| at ell=1).
+
+    Summed over compositions of p into ell parts: part q picks t of the free
+    coordinates left by parts 0..q-1, with 2^t signs, or 2^(t-1) when comp[q]
+    is even (the flip is pinned). Raises ValueError for t < 1 or ell outside [1, p].
+    """
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
+    if not 1 <= ell <= p:
+        raise ValueError(f"need 1 <= ell <= p, got ell={ell}, p={p}")
     free = n - n_forbidden
-    if free < t:
+    if free < ell * t:
         return 0
-    return math.comb(free, t) * 2 ** (t - (1 if p % 2 == 0 else 0))
+    return sum(
+        math.prod(math.comb(free - q * t, t) * 2 ** (t - (m % 2 == 0)) for q, m in enumerate(comp))
+        for comp in _compositions(p, ell)
+    )
 
 
 def _candidates(allowed: list[int], t: int, parity: int):
@@ -106,10 +110,8 @@ def enumerate_candidates(
     <u, x>^p = <-u, x>^p lets us pin the first index to +1, halving the count.
     """
     allowed = [i for i in range(1, n + 1) if i not in forbidden]
-    if len(allowed) < t:
-        raise EnumerationError(
-            f"only {len(allowed)} free coordinates, need t={t}"
-        )
+    if candidate_count(len(allowed), t, 0, p) == 0:
+        raise EnumerationError(f"only {len(allowed)} free coordinates, need t={t}")
     for support, signs in _candidates(allowed, t, p):
         yield SparseSignVector(n, support, signs)
 
@@ -191,7 +193,7 @@ def family_chunks(
     the member's tensor product.
     """
     allowed = [i for i in range(1, n + 1) if i not in forbidden]
-    if len(allowed) < ell * t:
+    if candidate_count(len(allowed), t, 0, p, ell) == 0:
         raise EnumerationError(f"only {len(allowed)} free coordinates, need {ell} x t={t}")
     members = _members(n, p, t, ell, allowed)
     while True:
@@ -301,10 +303,10 @@ def recover_general(
     ell-tuples of disjoint-support U_t candidates, then reads each factor's
     support from the contraction leaving one of its modes free.
     """
-    if not 1 <= ell <= Y.p:
-        raise ValueError(f"need 1 <= ell <= p, got ell={ell}")
     if not 1 <= t <= k:
         raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
+    if candidate_count(Y.n, t, 0, Y.p, ell) == 0:  # checked before the split allocates
+        raise EnumerationError(f"only {Y.n} free coordinates, need {ell} x t={t}")
     Y1, Y2 = preprocess_split(Y, seed)
     value, (comp, cands) = argmax_over_family(Y1.data, family_chunks(Y.n, Y.p, t, ell))
     factors: list[SparseSignVector] = []

@@ -119,7 +119,7 @@ class SparseSignVector:
 
 @dataclass(frozen=True)
 class DenseUnitVector:
-    """Unit vector in R^n with an explicit entry array; k counts nonzeros."""
+    """Unit vector in R^n with an explicit entry array."""
 
     n: int
     values: np.ndarray
@@ -134,10 +134,6 @@ class DenseUnitVector:
         norm = float(np.linalg.norm(vals))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"not a unit vector: ||v|| = {norm}")
-
-    @property
-    def k(self) -> int:
-        return int(np.count_nonzero(self.values))
 
     def support_set(self) -> frozenset[int]:
         """1-based indices of nonzero entries."""

@@ -182,6 +182,15 @@ class TestConcentrationCommand:
         assert doc["failure_fraction"] <= 0.4
         assert doc["bound"] > 0
 
+    def test_even_p_family_within_guard(self, capsys):
+        # 58,520 members (the first sign pinned at even p); once refused as 117,040
+        code, out, err = run_cli(
+            capsys, "check-concentration", "--n", "22", "--p", "2",
+            "--t", "4", "--trials", "1", "--seed", "0",
+        )
+        assert code == 0, err
+        assert json.loads(out)["trials"] == 1
+
 
 class TestMalformedInput:
     @pytest.fixture

@@ -159,3 +159,30 @@ class TestConcentration:
             check_concentration(100, 3, 5, 1, 0.05, 1, 0)
         with pytest.raises(ValueError):
             check_concentration(10, 3, 1, 3, 0.05, 1, 0)
+
+    def test_guard_reads_exact_even_p_size(self, monkeypatch):
+        # n=6, p=2, t=2: C(6,2) supports x 2 signs (the first pinned) = 30 members
+        monkeypatch.setattr(experiments, "CONCENTRATION_CANDIDATE_GUARD", 30)
+        assert len(check_concentration(6, 2, 2, 1, 0.05, 1, 0).per_trial_max) == 1
+        monkeypatch.setattr(experiments, "CONCENTRATION_CANDIDATE_GUARD", 29)
+        with pytest.raises(ValueError, match="30 members"):
+            check_concentration(6, 2, 2, 1, 0.05, 1, 0)
+
+    @staticmethod
+    def _forbid_build(monkeypatch):
+        def family_chunks(*args, **kwargs):
+            raise AssertionError("the family must not be built")
+
+        monkeypatch.setattr(experiments, "family_chunks", family_chunks)
+
+    def test_pair_guard_refuses_before_build(self, monkeypatch):
+        self._forbid_build(monkeypatch)
+        # 1,740 U_t candidates, but 2 x 435 x 378 x 8 = 2,630,880 ordered pairs
+        with pytest.raises(ValueError, match="2630880 members"):
+            check_concentration(30, 3, 2, 2, 0.05, 1, 0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5])
+    def test_gamma_checked_before_build(self, monkeypatch, gamma):
+        self._forbid_build(monkeypatch)
+        with pytest.raises(ValueError, match="gamma"):
+            check_concentration(6, 3, 1, 1, gamma, 1, 0)

@@ -20,6 +20,7 @@ from stpca.recovery import (
     EnumerationError,
     argmax_over_family,
     argmax_over_Ut,
+    candidate_count,
     enumerate_candidates,
     family_chunks,
     preprocess_split,
@@ -138,9 +139,13 @@ def test_all_ties_pick_first_member():
 
 
 def test_family_size_matches_oracle():
-    for n, p, t, ell in [(6, 3, 2, 2), (5, 4, 1, 3), (7, 2, 3, 1)]:
-        size = sum(len(members) for members, _, _ in family_chunks(n, p, t, ell, chunk_size=5))
-        assert size == sum(1 for _ in oracle_family(n, p, t, ell))
+    cases = [(6, 3, 2, 2, ()), (5, 4, 1, 3, ()), (7, 2, 3, 1, ()), (6, 2, 2, 2, ()),
+             (8, 4, 1, 2, (2, 5, 7)), (7, 3, 2, 1, (4,))]
+    for n, p, t, ell, forbidden in cases:
+        chunks = family_chunks(n, p, t, ell, frozenset(forbidden), chunk_size=5)
+        size = sum(len(members) for members, _, _ in chunks)
+        assert size == sum(1 for _ in oracle_family(n, p, t, ell, frozenset(forbidden)))
+        assert size == candidate_count(n, t, len(forbidden), p, ell)
 
 
 def test_too_few_free_coordinates():
@@ -148,6 +153,19 @@ def test_too_few_free_coordinates():
         next(family_chunks(5, 3, 2, 3))
     with pytest.raises(EnumerationError):
         argmax_over_Ut(DenseTensor.zeros(4, 2), 2, {1, 2, 3})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: argmax_over_Ut(DenseTensor.zeros(6, 3), 0),
+    lambda: next(family_chunks(6, 3, 0)),
+    lambda: check_concentration(6, 3, 0, 1, 0.05, 1, 0),
+    lambda: candidate_count(6, 0, 0, 2),
+    lambda: list(family_chunks(6, 3, 1, 4)),
+], ids=["argmax-t0", "family-t0", "concentration-t0", "count-t0", "family-ell-above-p"])
+def test_malformed_family_is_value_error(call):
+    # t=0 once ended in ZeroDivisionError or a count of 0.5; ell > p streamed nothing
+    with pytest.raises(ValueError, match="t >= 1|ell <= p"):
+        call()
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpca import recovery
 from stpca.model import (
     SignalSpec,
     sample_general_instance,
@@ -325,6 +326,15 @@ class TestRecoverMulti:
 
 
 class TestRecoverGeneral:
+    def test_empty_family_refused_before_split(self, monkeypatch):
+        def split(*args):
+            raise AssertionError("preprocess_split must not run")
+
+        monkeypatch.setattr(recovery, "preprocess_split", split)
+        # 3 disjoint supports of size 2 need 6 of the 5 coordinates
+        with pytest.raises(EnumerationError):
+            recover_general(sample_noise_tensor(5, 3, 0), 2, 2, 3, seed=0)
+
     def test_ell1_reduces_to_single(self):
         spec = SignalSpec(n=10, p=3, k=3, strengths=(40.0,))
         inst = sample_sstm(spec, 14)
