@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,22 +81,19 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_lowdeg(args) -> int:
-    params = lowdeg.LowDegParams(
-        n=args.n, k=args.k, p=args.p, D=args.D, lam=args.lam, eps=args.eps
-    )
-    report = lowdeg.chi_squared_exact(params, arithmetic=args.arithmetic)
-    doc = report.to_json_dict()
-    doc["lower_threshold"] = lowdeg.lower_bound_lambda(args.n, args.k, args.p, args.D, args.eps)
-    doc["upper_thresholds"] = lowdeg.upper_bound_lambda(
-        args.n, args.k, args.p, args.D, 2 * args.eps
-    ).to_json_dict()
+    params = lowdeg.LowDegParams(n=args.n, k=args.k, p=args.p, D=args.D, lam=args.lam)
+    # the threshold calculators check --eps, so they run before the chi-squared sum
+    lower = lowdeg.lower_bound_lambda(args.n, args.k, args.p, args.D, args.eps)
+    upper = lowdeg.upper_bound_lambda(args.n, args.k, args.p, args.D, 2 * args.eps)
+    doc = lowdeg.chi_squared_exact(params, arithmetic=args.arithmetic).to_json_dict()
+    doc["lower_threshold"] = lower
+    doc["upper_thresholds"] = upper.to_json_dict()
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_itbound(args) -> int:
-    report = infotheory.it_bound_report(args.n, args.k, args.eps, args.lam)
-    doc = report.to_json_dict()
+    doc = dataclasses.asdict(infotheory.it_bound_report(args.n, args.k, args.eps, args.lam))
     if args.oracle:
         doc["covering_number"] = {
             metric: infotheory.covering_number_oracle(args.n, args.k, args.eps, metric)

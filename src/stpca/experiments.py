@@ -2,7 +2,9 @@
 
 Every trial seed is derived from the master seed, the cell index, and the
 trial index, so sweeps are reproducible row-for-row regardless of worker
-count or execution order.
+count or execution order. Each output layout has one statement: the phase
+CSV rows are keyed by CSV_HEADER, and the concentration JSON follows the
+ConcentrationReport fields.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .model import SignalSpec, sample_noise_tensor, sample_sstm, substream
 from .recovery import (
@@ -41,6 +43,8 @@ _CONFIG_KEYS = {
 
 CONCENTRATION_CANDIDATE_GUARD = 10**5
 CONCENTRATION_PAIR_GUARD = 2 * 10**5
+# terms the kept family holds, t^p per member: 2^24 int64 + float64 rows = 256 MiB
+CONCENTRATION_TERM_GUARD = 2**24
 
 
 @dataclass(frozen=True)
@@ -116,17 +120,19 @@ def trial_seed(master_seed: int, cell_index: int, trial: int) -> int:
     return int(substream(master_seed, "trial", cell_index, trial).integers(2**62))
 
 
-def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[list]:
+def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[dict]:
+    """One row per trial, keyed by CSV_HEADER names; unset columns stay empty."""
     n, p, k, r, t, lam_raw = cell
     rows = []
     for trial in range(config.trials):
         seed = trial_seed(config.master_seed, cell_index, trial)
-        base = [n, p, k, r, t, None, trial, seed, "", "", "", "", ""]
+        row = {"n": n, "p": p, "k": k, "r": r, "t": t, "lambda": repr(float(lam_raw)),
+               "trial": trial, "seed": seed}
         try:
             lam = lam_raw
             if config.lambda_mode == "threshold-multiple":
                 lam = lam_raw * threshold_lambda(n, k, p, t, r)[0]
-            base[5] = repr(float(lam))
+            row["lambda"] = repr(float(lam))
             spec = SignalSpec(n=n, p=p, k=k, r=r, strengths=(float(lam),) * r)
             inst = sample_sstm(spec, seed)
             Y = inst.observation
@@ -139,22 +145,23 @@ def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[list]:
             recovered, values = recover_multi(Y, k, t, r, seed)
             runtime_ms = (time.perf_counter() - start) * 1000.0
             report = match_supports(recovered, inst.truth_supports(), values)
-            base[8] = int(report.all_exact)
-            base[9] = repr(sum(report.overlap) / len(report.overlap))
-            base[10] = repr(values[0])
-            base[11] = repr(runtime_ms) if config.record_runtime else ""
+            row["exact"] = int(report.all_exact)
+            row["overlap"] = repr(sum(report.overlap) / len(report.overlap))
+            row["argmax_value"] = repr(values[0])
+            if config.record_runtime:
+                row["runtime_ms"] = repr(runtime_ms)
         except ValueError as exc:  # domain failures become rows, the sweep continues
-            base[5] = base[5] if base[5] is not None else repr(float(lam_raw))
-            base[12] = f"{type(exc).__name__}: {exc}"
-        rows.append(base)
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
     return rows
 
 
 def run_phase_diagram(config: PhaseConfig, out_path: str, workers: int = 1) -> int:
     """Run the sweep and write one CSV row per (cell, trial). Returns row count.
 
-    Rows are buffered and written in deterministic cell/trial order, so the
-    output is byte-identical for any worker count.
+    CSV_HEADER is the only statement of the columns: each row is a dict keyed
+    by its names. Rows are buffered and written in deterministic cell/trial
+    order, so the output is byte-identical for any worker count.
     """
     cells = config.cells()
     if workers > 1 and len(cells) > 1:
@@ -164,15 +171,12 @@ def run_phase_diagram(config: PhaseConfig, out_path: str, workers: int = 1) -> i
             )
     else:
         per_cell = [_run_cell(config, i, c) for i, c in enumerate(cells)]
-    count = 0
+    rows = [row for cell_rows in per_cell for row in cell_rows]
     with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for rows in per_cell:
-            for row in rows:
-                writer.writerow(row)
-                count += 1
-    return count
+        writer = csv.DictWriter(f, CSV_HEADER, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    return len(rows)
 
 
 def concentration_bound(n: int, p: int, t: int, r: int, gamma: float) -> float:
@@ -195,12 +199,10 @@ class ConcentrationReport:
     failure_fraction: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "t": self.t, "r": self.r,
-            "gamma": self.gamma, "trials": self.trials, "bound": self.bound,
-            "failure_fraction": self.failure_fraction,
-            "max_over_trials": max(self.per_trial_max),
-        }
+        """The fields in order, with per_trial_max reduced to max_over_trials."""
+        doc = asdict(self)
+        doc["max_over_trials"] = max(doc.pop("per_trial_max"))
+        return doc
 
 
 def check_concentration(
@@ -217,7 +219,9 @@ def check_concentration(
 
     r=1 scans U_t; r=2 scans ordered disjoint candidate pairs across all mode
     compositions. Reports the fraction of trials whose max exceeds the bound
-    (theory says at most 2*gamma per trial).
+    (theory says at most 2*gamma per trial). Before the family is built, its
+    member count must be within the r=1 or r=2 member guard and its t^p terms
+    per member within CONCENTRATION_TERM_GUARD in total.
     """
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2 at desk scale")
@@ -227,6 +231,12 @@ def check_concentration(
     guard = CONCENTRATION_CANDIDATE_GUARD if r == 1 else CONCENTRATION_PAIR_GUARD
     if size > guard:
         raise ValueError(f"candidate family of {size} members exceeds feasibility guard {guard}")
+    terms = size * t**p
+    if terms > CONCENTRATION_TERM_GUARD:
+        raise ValueError(
+            f"candidate family of {size} members x {t**p} terms each = {terms} terms exceeds "
+            f"feasibility guard {CONCENTRATION_TERM_GUARD}"
+        )
     bound = concentration_bound(n, p, t, r, gamma)
     # one family, kept and scored against every trial's noise tensor
     family = list(family_chunks(n, p, t, r))

@@ -25,14 +25,6 @@ class ItBoundReport:
     kl_upper: float
     notes: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "minimax_lambda": self.minimax_lambda,
-            "packing_log_lower": self.packing_log_lower,
-            "kl_upper": self.kl_upper,
-            "notes": self.notes,
-        }
-
 
 def minimax_lambda(n: int, k: int) -> float | None:
     """sqrt(k/12 * ln((n-k)/k) - 1/2); None when n < 2k or the argument is <= 0.

@@ -34,7 +34,6 @@ class LowDegParams:
     p: int
     D: int
     lam: float
-    eps: float = 0.25
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -45,8 +44,6 @@ class LowDegParams:
             raise ValueError("D must be >= 1")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if not 0 < self.eps <= 0.5:
-            raise ValueError("eps must be in (0, 1/2]")
 
 
 @dataclass

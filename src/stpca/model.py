@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,26 +117,6 @@ class SignalSpec:
             raise ValueError(
                 f"disjoint supports infeasible: {disjoint_supports} indices > n={self.n}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "k": self.k,
-            "A": self.A,
-            "r": self.r,
-            "strengths": list(self.strengths),
-            "mode": self.mode,
-            "ell": self.ell,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SignalSpec":
-        return cls(
-            n=d["n"], p=d["p"], k=d["k"], A=d.get("A", 1.0), r=d.get("r", 1),
-            strengths=tuple(d.get("strengths", (1.0,))), mode=d.get("mode", "flat"),
-            ell=d.get("ell", 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -318,8 +298,8 @@ def sample_distinguishing(
 
 
 def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstance | None = None) -> None:
-    """Sidecar metadata: SignalSpec fields, seed, and (if given) the ground truth."""
-    doc = dict(spec.to_json_dict(), seed=seed)
+    """Sidecar metadata: asdict(spec) in field order, seed, and (if given) the ground truth."""
+    doc = dict(asdict(spec), seed=seed)
     if instance is not None:
         doc["truth"] = [
             {

@@ -43,14 +43,14 @@ class DimensionMismatchError(ValueError):
     """Operands disagree on ambient dimension or order."""
 
 
-def check_capacity(n: int, p: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> int:
+def check_capacity(n: int, p: int) -> int:
     """Return n**p, refusing sizes above the cap."""
     if n < 1 or p < 2:
         raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
     size = n**p
-    if size > entry_cap:
+    if size > DEFAULT_ENTRY_CAP:
         raise CapacityError(
-            f"tensor with n={n}, p={p} has {size} entries, cap is {entry_cap}"
+            f"tensor with n={n}, p={p} has {size} entries, cap is {DEFAULT_ENTRY_CAP}"
         )
     return size
 

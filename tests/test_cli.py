@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stpca import lowdeg
 from stpca.cli import main
 from stpca.tensor import DenseTensor, write_sstf1
 
@@ -136,6 +137,32 @@ class TestLowdegCommand:
         assert doc["chi2"] == pytest.approx(sum(doc["per_degree"].values()), rel=1e-12)
         assert "lower_threshold" in doc and "upper_thresholds" in doc
 
+    @pytest.mark.parametrize("eps, code, message", [
+        ("0", 2, "eps must be positive"),
+        ("0.6", 2, "eps must be in [0, 1/2]"),
+        ("-1", 2, "eps must be in [0, 1/2]"),
+        ("0.5", 0, ""),
+    ])
+    def test_eps_exit_codes(self, capsys, eps, code, message):
+        got, _, err = run_cli(
+            capsys, "lowdeg", "--n", "6", "--k", "2", "--p", "2",
+            "--D", "2", "--lambda", "1", "--eps", eps,
+        )
+        assert got == code
+        assert message in err
+
+    @pytest.mark.parametrize("eps", ["0", "0.6", "-1"])
+    def test_bad_eps_refused_before_sum(self, capsys, monkeypatch, eps):
+        def chi_squared_exact(*args, **kwargs):
+            raise AssertionError("the chi-squared sum must not run")
+
+        monkeypatch.setattr(lowdeg, "chi_squared_exact", chi_squared_exact)
+        code, _, err = run_cli(
+            capsys, "lowdeg", "--n", "6", "--k", "2", "--p", "2",
+            "--D", "2", "--lambda", "1", "--eps", eps,
+        )
+        assert code == 2, err
+
 
 class TestItboundCommand:
     def test_minimax_value(self, capsys):
@@ -143,6 +170,14 @@ class TestItboundCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["minimax_lambda"] == pytest.approx(1.154, abs=1e-3)
+
+    @pytest.mark.parametrize("n, k", [("100", "10"), ("3", "2")])
+    def test_key_order(self, capsys, n, k):
+        code, out, _ = run_cli(capsys, "itbound", "--n", n, "--k", k)
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "minimax_lambda", "packing_log_lower", "kl_upper", "notes",
+        ]
 
     def test_oracle_flag(self, capsys):
         code, out, _ = run_cli(
@@ -181,6 +216,10 @@ class TestConcentrationCommand:
         doc = json.loads(out)
         assert doc["failure_fraction"] <= 0.4
         assert doc["bound"] > 0
+        assert list(doc) == [
+            "n", "p", "t", "r", "gamma", "trials", "bound",
+            "failure_fraction", "max_over_trials",
+        ]
 
     def test_even_p_family_within_guard(self, capsys):
         # 58,520 members (the first sign pinned at even p); once refused as 117,040

@@ -14,7 +14,7 @@ from stpca.experiments import (
     trial_seed,
 )
 from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm
-from stpca.recovery import recover_multi
+from stpca.recovery import recover_multi, threshold_lambda
 from stpca.tensor import DenseTensor
 
 
@@ -105,6 +105,25 @@ class TestPhaseDiagram:
         good = [r for r in rows if r["t"] == "1"]
         assert all(not r["error"] for r in good)
 
+    def test_row_layout(self, tmp_path):
+        # t=5 > k=3: threshold_lambda refuses the cell, so lambda keeps its raw
+        # value and only the error column is filled; runtime off leaves it empty
+        config = small_config(
+            t_grid=(1, 5), lambda_grid=(2.0,), trials=1,
+            lambda_mode="threshold-multiple", record_runtime=False,
+        )
+        out = str(tmp_path / "layout.csv")
+        run_phase_diagram(config, out)
+        with open(out) as f:
+            good, bad = f.read().splitlines()[1:]
+        lam = 2.0 * threshold_lambda(10, 3, 3, 1)[0]
+        assert good.startswith(f"10,3,3,1,1,{lam!r},0,{trial_seed(123, 0, 0)},")
+        assert good.endswith(",,")
+        assert bad == (
+            f"10,3,3,1,5,2.0,0,{trial_seed(123, 1, 0)},,,,,"
+            '"ValueError: need 1 <= t <= k, got t=5, k=3"'
+        )
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only domain errors (ValueError) become error rows; a bug must not
         def broken(*args, **kwargs):
@@ -180,6 +199,19 @@ class TestConcentration:
         # 1,740 U_t candidates, but 2 x 435 x 378 x 8 = 2,630,880 ordered pairs
         with pytest.raises(ValueError, match="2630880 members"):
             check_concentration(30, 3, 2, 2, 0.05, 1, 0)
+
+    @pytest.mark.parametrize("n, p, t", [(12, 7, 6), (17, 6, 5), (22, 6, 4), (24, 4, 4)])
+    def test_term_guard_refuses_before_build(self, monkeypatch, n, p, t):
+        # each family is within its member guard, but holds t^p terms per member
+        self._forbid_build(monkeypatch)
+        with pytest.raises(ValueError, match=f"{t**p} terms"):
+            check_concentration(n, p, t, 1, 0.05, 1, 0)
+
+    def test_term_guard_admits_n22_p4_t4(self, monkeypatch):
+        # n=22, p=4, t=4: 58,520 members x 256 terms = 14,981,120 <= 2^24
+        self._forbid_build(monkeypatch)
+        with pytest.raises(AssertionError, match="must not be built"):
+            check_concentration(22, 4, 4, 1, 0.05, 1, 0)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5])
     def test_gamma_checked_before_build(self, monkeypatch, gamma):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -283,13 +284,25 @@ class TestMetaSidecar:
         path = str(tmp_path / "y.sstf.meta.json")
         write_meta_json(path, spec, 3, inst)
         doc = json.loads(open(path).read())
-        assert SignalSpec.from_json_dict(doc) == spec
+        fields = json.loads(json.dumps(dataclasses.asdict(spec)))
+        assert {key: doc[key] for key in fields} == fields
         assert doc["seed"] == 3
         assert len(doc["truth"]) == 2
         assert sorted(doc["truth"][0]["supports"][0]) == sorted(
             inst.truth_supports()[0]
         )
         assert read_truth_supports(path) == inst.truth_supports()
+
+    def test_top_level_key_order(self, tmp_path):
+        spec = SignalSpec(n=12, p=3, k=2, strengths=(4.0,), mode="general", ell=2)
+        path = str(tmp_path / "y.sstf.meta.json")
+        write_meta_json(path, spec, 3, sample_sstm(spec, 3))
+        with open(path) as f:
+            doc = json.load(f)
+        assert list(doc) == [
+            "n", "p", "k", "A", "r", "strengths", "mode", "ell", "seed", "truth",
+        ]
+        assert list(doc["truth"][0]) == ["strength", "composition", "supports"]
 
     def test_no_truth_reads_as_none(self, tmp_path):
         spec = SignalSpec(n=8, p=2, k=2)
