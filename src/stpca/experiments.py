@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .model import SignalSpec, sample_noise_tensor, sample_sstm, substream
+from .model import SignalSpec, _noise_data, sample_sstm, substream
 from .recovery import (
     argmax_over_family,
     candidate_count,
@@ -126,8 +126,8 @@ def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[dict]:
     rows = []
     for trial in range(config.trials):
         seed = trial_seed(config.master_seed, cell_index, trial)
-        row = {"n": n, "p": p, "k": k, "r": r, "t": t, "lambda": repr(float(lam_raw)),
-               "trial": trial, "seed": seed}
+        # lambda stays empty when threshold_lambda refuses the cell
+        row = {"n": n, "p": p, "k": k, "r": r, "t": t, "trial": trial, "seed": seed}
         try:
             lam = lam_raw
             if config.lambda_mode == "threshold-multiple":
@@ -137,8 +137,9 @@ def _run_cell(config: PhaseConfig, cell_index: int, cell) -> list[dict]:
             inst = sample_sstm(spec, seed)
             Y = inst.observation
             if config.noise_scale != 1.0:
-                # Y + (scale - 1) * W, summed into the scaled noise's own buffer
-                data = (config.noise_scale - 1.0) * sample_noise_tensor(n, p, seed).data
+                # Y + (scale - 1) * W, built in the buffer W is drawn into
+                data = _noise_data(n, p, seed)
+                data *= config.noise_scale - 1.0
                 data += Y.data
                 Y = DenseTensor._owned(n, p, data)
             start = time.perf_counter()
@@ -213,7 +214,6 @@ def check_concentration(
     gamma: float,
     trials: int,
     seed: int,
-    noise_scale: float = 1.0,
 ) -> ConcentrationReport:
     """Exhaustive per-trial max of |<W, candidates>| against the theory bound.
 
@@ -242,12 +242,11 @@ def check_concentration(
     family = list(family_chunks(n, p, t, r))
     per_trial_max = []
     for trial in range(trials):
-        W = sample_noise_tensor(n, p, trial_seed(seed, 0, trial))
-        data = W.data if noise_scale == 1.0 else W.data * noise_scale
+        W = _noise_data(n, p, trial_seed(seed, 0, trial))
         # max |<W, u>| over the family is the larger of its maxima against W and -W
-        per_trial_max.append(
-            max(argmax_over_family(data, family)[0], argmax_over_family(-data, family)[0])
-        )
+        top = argmax_over_family(W, family)[0]
+        W *= -1.0
+        per_trial_max.append(max(top, argmax_over_family(W, family)[0]))
     failures = sum(1 for v in per_trial_max if v > bound)
     return ConcentrationReport(
         n, p, t, r, gamma, trials, bound, per_trial_max, failures / trials

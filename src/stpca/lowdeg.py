@@ -42,6 +42,8 @@ class LowDegParams:
             raise ValueError("p must be >= 2")
         if self.D < 1:
             raise ValueError("D must be >= 1")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
 
@@ -57,11 +59,19 @@ class ChiSqReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "chi2": float(self.total),
+            "chi2": _as_double(float, self.total),
             "per_degree": {str(d): float(v) for d, v in self.per_degree.items()},
             "arithmetic": self.arithmetic,
             "d_le_2n_over_p": self.d_le_2n_over_p,
         }
+
+
+def _as_double(f, *args) -> float:
+    """f(*args) as a double; an overflow of the double range raises ValueError."""
+    try:
+        return f(*args)
+    except OverflowError:
+        raise ValueError("chi-squared mass exceeds the double range (about 1.8e308)") from None
 
 
 @functools.cache
@@ -171,8 +181,8 @@ def chi_squared_exact(params: LowDegParams, arithmetic: str = "exact-rational") 
                 + math.log(term.numerator)
                 - math.log(term.denominator)
             )
-            per_degree[d] = math.exp(log_term)
-        total = math.fsum(per_degree.values())
+            per_degree[d] = _as_double(math.exp, log_term)
+        total = _as_double(math.fsum, per_degree.values())
     return ChiSqReport(total, per_degree, arithmetic, in_range)
 
 

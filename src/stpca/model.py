@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, DenseUnitVector, SparseSignVector, add_rank1, check_capacity
+from .tensor import DenseTensor, DenseUnitVector, SparseSignVector, _add_rank1_into, check_capacity
 
 MODES = ("flat", "apx-flat", "general")
 # entries per independently seeded block of a tensor-sized normal draw
@@ -91,6 +91,10 @@ class SignalSpec:
             raise ValueError(f"need tensor order p >= 2, got p={self.p}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if not np.isfinite(self.A):
+            raise ValueError(f"flatness bound A must be finite, got {self.A}")
+        if not np.isfinite(self.strengths).all():
+            raise ValueError(f"strengths must be finite, got {self.strengths}")
         if self.A < 1:
             raise ValueError("flatness bound A must be >= 1")
         if self.r < 1 or len(self.strengths) != self.r:
@@ -166,10 +170,15 @@ class RademacherPriorSample:
     realized_sparsity: int
 
 
+def _noise_data(n: int, p: int, seed: int) -> np.ndarray:
+    """The writable buffer sample_noise_tensor wraps, capacity-checked before it is drawn."""
+    return _standard_normal(seed, "noise", check_capacity(n, p))
+
+
 def sample_noise_tensor(n: int, p: int, seed: int) -> DenseTensor:
     """I.i.d. N(0,1) tensor from the "noise" sub-streams of `seed` (see
     :func:`_standard_normal` for the block layout)."""
-    return DenseTensor._owned(n, p, _standard_normal(seed, "noise", check_capacity(n, p)))
+    return DenseTensor._owned(n, p, _noise_data(n, p, seed))
 
 
 def make_flat_signal(n: int, support, signs) -> DenseUnitVector:
@@ -237,7 +246,7 @@ def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
     cuts = np.sort(substream(seed, "composition").choice(p - 1, size=ell - 1, replace=False))
     bounds = [0, *(cuts + 1).tolist(), p]
     composition = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-    Y = sample_noise_tensor(n, p, seed)
+    data = _noise_data(n, p, seed)
     supports = _disjoint_supports(n, [k] * (spec.r * ell), substream(seed, "supports"))
     sign_rng = substream(seed, "signs")
     signals: list[PlantedSignal] = []
@@ -253,8 +262,8 @@ def sample_sstm(spec: SignalSpec, seed: int) -> SstmInstance:
         signal = PlantedSignal(lam, tuple(factors), composition)
         signals.append(signal)
         if lam != 0.0:
-            Y = add_rank1(Y, lam, signal.mode_factors(p))
-    return SstmInstance(Y, tuple(signals), seed, spec)
+            _add_rank1_into(data, n, p, lam, signal.mode_factors(p))
+    return SstmInstance(DenseTensor._owned(n, p, data), tuple(signals), seed, spec)
 
 
 def sample_general_instance(
@@ -285,16 +294,13 @@ def sample_distinguishing(
     """
     if hypothesis not in ("H0", "H1"):
         raise ValueError("hypothesis must be 'H0' or 'H1'")
-    Y = sample_noise_tensor(n, p, seed)
-    if hypothesis == "H0":
-        return Y, None
-    prior = sample_rademacher_prior(n, k, seed)
-    if lam != 0.0 and prior.realized_sparsity > 0:
+    data = _noise_data(n, p, seed)
+    prior = sample_rademacher_prior(n, k, seed) if hypothesis == "H1" else None
+    if prior is not None and lam != 0.0 and prior.realized_sparsity > 0:
         # x is not unit norm in general; scale a unit vector by ||x||
         norm = float(np.linalg.norm(prior.x))
-        vec = DenseUnitVector(n, prior.x / norm)
-        Y = add_rank1(Y, lam * norm**p, [vec] * p)
-    return Y, prior
+        _add_rank1_into(data, n, p, lam * norm**p, [DenseUnitVector(n, prior.x / norm)] * p)
+    return DenseTensor._owned(n, p, data), prior
 
 
 def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstance | None = None) -> None:

@@ -10,13 +10,13 @@ indices), so k-sparse factors cost O(k^p) work instead of O(n^p).
 
 Copy contract: the public ``DenseTensor(n, p, data)`` copies ``data`` and
 freezes the copy, so a caller's array never aliases a tensor. A buffer the
-library has just allocated (sampled noise, the output of :func:`add_rank1`,
-the split half ``Y1``, a file read back) is wrapped with
+library has just allocated (a sampled observation, the output of
+:func:`add_rank1`, the split half ``Y1``, a file read back) is wrapped with
 ``DenseTensor._owned``, which runs the same checks and freezes it without a
 copy. The other split half is a :class:`SplitHalf`: ``Y2 = sqrt2*Y - Y1``,
-derived block by block from the two tensors and never stored. Sampling
-therefore peaks at two tensor sizes (the noise and the copy that
-:func:`add_rank1` makes), SSTF1 I/O streams without an extra copy, and a
+derived block by block from the two tensors and never stored. A sampler adds
+its spikes to the noise buffer in place (:func:`_add_rank1_into`), so
+sampling peaks at one tensor, SSTF1 I/O streams without an extra copy, and a
 recovery holds ``Y1`` alone beside the caller's ``Y``: two tensors in all.
 """
 
@@ -236,27 +236,23 @@ class SplitHalf:
 Tensor = DenseTensor | SplitHalf
 
 
-def _check_factor(Y: Tensor, v: FactorVector) -> None:
-    if v.n != Y.n:
-        raise DimensionMismatchError(f"factor dimension {v.n} != tensor dimension {Y.n}")
-
-
 def _support_block(
-    Y: Tensor, factors: list[FactorVector], free_mode: int | None = None
+    n: int, p: int, factors: list[FactorVector], free_mode: int | None = None
 ) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
-    """np.ix_ index of Y's block on the product of the factors' supports, and values.
+    """np.ix_ index of the (n, p) block on the product of the factors' supports, and values.
 
     values holds the nonzero values of each factor but the free one, in mode
     order. The free mode, if any, takes all n indices and its factor is ignored.
     """
-    if len(factors) != Y.p:
-        raise DimensionMismatchError(f"need {Y.p} factors, got {len(factors)}")
+    if len(factors) != p:
+        raise DimensionMismatchError(f"need {p} factors, got {len(factors)}")
     axes, values = [], []
     for m, v in enumerate(factors):
         if m == free_mode:
-            axes.append(np.arange(Y.n))
+            axes.append(np.arange(n))
             continue
-        _check_factor(Y, v)
+        if v.n != n:
+            raise DimensionMismatchError(f"factor dimension {v.n} != tensor dimension {n}")
         idx, vals = v.nonzeros()
         axes.append(idx)
         values.append(vals)
@@ -265,7 +261,7 @@ def _support_block(
 
 def _contract(Y: Tensor, factors: list[FactorVector], free_mode: int | None = None):
     """Contract the support block with the factor values; the free mode stays."""
-    block, values = _support_block(Y, factors, free_mode)
+    block, values = _support_block(Y.n, Y.p, factors, free_mode)
     acc = Y.block(block)
     if free_mode is not None:
         acc = np.moveaxis(acc, free_mode, 0)
@@ -298,16 +294,19 @@ def contract_leave_mode(
     return _contract(Y, factors, free_mode)
 
 
-def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseTensor:
-    """Return Y + lam * u_1 x ... x u_p as a new tensor.
+def _add_rank1_into(data: np.ndarray, n: int, p: int, lam: float,
+                    factors: list[FactorVector]) -> None:
+    """Add lam * u_1 x ... x u_p in place to data, a writable flat (n, p) buffer:
+    each entry of the support block gains lam times the left-to-right product
+    of the factor values, the same float that a dense outer product gives."""
+    block, values = _support_block(n, p, factors)
+    data.reshape((n,) * p)[block] += lam * functools.reduce(np.multiply.outer, values)
 
-    Only the support block changes: each of its entries gains lam times the
-    left-to-right product of the factor values, the same float that a dense
-    outer product gives.
-    """
-    block, values = _support_block(Y, factors)
+
+def add_rank1(Y: DenseTensor, lam: float, factors: list[FactorVector]) -> DenseTensor:
+    """Return Y + lam * u_1 x ... x u_p as a new tensor; Y is left alone."""
     out = Y.data.copy()
-    out.reshape((Y.n,) * Y.p)[block] += lam * functools.reduce(np.multiply.outer, values)
+    _add_rank1_into(out, Y.n, Y.p, lam, factors)
     return DenseTensor._owned(Y.n, Y.p, out)
 
 

@@ -284,6 +284,7 @@ class TestRejectedInput:
               "--seed", "1", "--out", "{d}/out.sstf"]
     CONCENTRATION = ["check-concentration", "--n", "6", "--p", "3", "--t", "1", "--seed", "0"]
     PHASE = ["phase", "--out", "{d}/sweep.csv", "--config"]
+    LOWDEG = ["lowdeg", "--n", "50", "--k", "5", "--p", "3", "--D", "30"]
 
     @pytest.mark.parametrize("argv, named", [
         (RECOVER + ["--t", "1", "--ell", "2", "--r", "3"], "--r 3"),
@@ -308,12 +309,19 @@ class TestRejectedInput:
         (["recover", "--in", "{d}/scalar-supports.sstf", "--k", "2", "--t", "1", "--seed", "0"],
          '"supports"'),
         (SAMPLE + ["--p", "0"], "p=0"),
+        (SAMPLE + ["--lambda", "nan"], "strengths must be finite"),
+        (SAMPLE + ["--lambda", "inf"], "strengths must be finite"),
+        (SAMPLE + ["--mode", "apx-flat", "--A", "inf"], "A must be finite"),
+        (LOWDEG + ["--lambda", "inf"], "lam must be finite"),
+        (LOWDEG + ["--lambda", "1e200"], "double range"),
+        (LOWDEG + ["--lambda", "1e200", "--arithmetic", "log-float"], "double range"),
     ], ids=[
         "general-with-r", "general-with-workers", "general-t-above-k",
         "zero-trials", "negative-trials", "config-missing-key", "config-scalar-grid",
         "config-unknown-key", "truth-without-supports", "flat-with-ell", "general-with-A",
         "zero-r", "negative-r", "config-not-object", "truth-not-list", "truth-entry-not-object",
-        "supports-not-index-lists", "zero-p",
+        "supports-not-index-lists", "zero-p", "nan-lambda", "inf-lambda", "inf-A",
+        "lowdeg-inf-lambda", "lowdeg-exact-overflow", "lowdeg-log-float-overflow",
     ])
     def test_exit_2(self, workdir, capsys, argv, named):
         code, out, err = run_cli(capsys, *[a.format(d=workdir) for a in argv])

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpca.model import NOISE_BLOCK, SignalSpec, sample_noise_tensor, sample_sstm, substream
+from stpca.model import (
+    MODES,
+    NOISE_BLOCK,
+    SignalSpec,
+    sample_distinguishing,
+    sample_noise_tensor,
+    sample_sstm,
+    substream,
+)
 from stpca.recovery import preprocess_split, recover_general, recover_multi
 from stpca.tensor import (
     DenseTensor,
@@ -70,6 +78,21 @@ class TestCopyBudget:
     def test_sample_noise_tensor_blocks(self):
         assert N_BLOCKS**P > NOISE_BLOCK
         _, peak = alloc_peak(sample_noise_tensor, N_BLOCKS, P, 1, tensor_bytes=8 * N_BLOCKS**P)
+        assert peak <= 1.1
+
+    # the spikes are written into the noise buffer; a copy per spike would read 2.0
+    @pytest.mark.parametrize("spec", [
+        SignalSpec(n=N, p=P, k=4, r=2, strengths=(5.0, 3.0)),
+        SignalSpec(n=N, p=P, k=4, A=1.5, r=2, strengths=(5.0, 3.0), mode="apx-flat"),
+        SignalSpec(n=N, p=P, k=4, strengths=(5.0,), mode="general", ell=2),
+    ], ids=["flat-r2", "apx-flat", "general-ell2"])
+    def test_sample_sstm(self, spec):
+        _, peak = alloc_peak(sample_sstm, spec, 1)
+        assert peak <= 1.1
+
+    def test_sample_distinguishing_h1(self):
+        (_, prior), peak = alloc_peak(sample_distinguishing, N, P, 10, 3.0, "H1", 1)
+        assert prior.realized_sparsity > 0
         assert peak <= 1.1
 
     def test_add_rank1(self, spike):
@@ -175,6 +198,26 @@ class TestOwnership:
         out = add_rank1(Y, 2.0, [spike] * P)
         assert np.array_equal(Y.data, before)
         assert not np.shares_memory(out.data, Y.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(MODES), p=st.integers(2, 4),
+           seed=st.integers(0, 2**63 - 1))
+    def test_sample_matches_add_rank1_reference(self, data, mode, p, seed):
+        # building in the noise buffer gives the bits of noise + one add_rank1 per spike
+        ell = data.draw(st.integers(1, p)) if mode == "general" else 1
+        r = 1 if mode == "general" else data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(r * k * ell, 9))
+        strengths = sorted(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 3.0, 7.25]), min_size=r, max_size=r)), reverse=True)
+        A = data.draw(st.floats(1.0, 3.0)) if mode == "apx-flat" else 1.0
+        spec = SignalSpec(n=n, p=p, k=k, A=A, r=r, strengths=tuple(strengths), mode=mode,
+                          ell=ell)
+        inst = sample_sstm(spec, seed)
+        ref = sample_noise_tensor(n, p, seed)
+        for sig in inst.truth:
+            ref = add_rank1(ref, sig.strength, sig.mode_factors(p))
+        assert np.array_equal(inst.observation.data, ref.data)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 7), p=st.integers(2, 4), seed=st.integers(0, 2**63 - 1))

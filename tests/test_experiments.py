@@ -15,7 +15,7 @@ from stpca.experiments import (
 )
 from stpca.model import SignalSpec, sample_noise_tensor, sample_sstm
 from stpca.recovery import recover_multi, threshold_lambda
-from stpca.tensor import DenseTensor
+from stpca.tensor import CapacityError, DenseTensor
 
 
 def small_config(**overrides):
@@ -106,8 +106,8 @@ class TestPhaseDiagram:
         assert all(not r["error"] for r in good)
 
     def test_row_layout(self, tmp_path):
-        # t=5 > k=3: threshold_lambda refuses the cell, so lambda keeps its raw
-        # value and only the error column is filled; runtime off leaves it empty
+        # t=5 > k=3: threshold_lambda refuses the cell, so lambda stays empty
+        # and only the error column is filled; runtime off leaves it empty
         config = small_config(
             t_grid=(1, 5), lambda_grid=(2.0,), trials=1,
             lambda_mode="threshold-multiple", record_runtime=False,
@@ -120,7 +120,7 @@ class TestPhaseDiagram:
         assert good.startswith(f"10,3,3,1,1,{lam!r},0,{trial_seed(123, 0, 0)},")
         assert good.endswith(",,")
         assert bad == (
-            f"10,3,3,1,5,2.0,0,{trial_seed(123, 1, 0)},,,,,"
+            f"10,3,3,1,5,,0,{trial_seed(123, 1, 0)},,,,,"
             '"ValueError: need 1 <= t <= k, got t=5, k=3"'
         )
 
@@ -156,11 +156,6 @@ class TestConcentration:
                 30, 3, t + 1, 1, 0.05
             )
         assert concentration_bound(30, 3, 2, 1, 0.05) < concentration_bound(30, 3, 2, 2, 0.05)
-
-    def test_zero_noise_max_is_zero(self):
-        report = check_concentration(10, 3, 1, 1, 0.05, 3, 0, noise_scale=0.0)
-        assert max(report.per_trial_max) == 0.0
-        assert report.failure_fraction == 0.0
 
     def test_small_run_under_bound(self):
         report = check_concentration(15, 3, 2, 1, 0.05, 20, 7)
@@ -212,6 +207,11 @@ class TestConcentration:
         self._forbid_build(monkeypatch)
         with pytest.raises(AssertionError, match="must not be built"):
             check_concentration(22, 4, 4, 1, 0.05, 1, 0)
+
+    def test_capacity_checked_before_noise(self):
+        # 2000^3 entries: the family is small, the noise tensor is over the cap
+        with pytest.raises(CapacityError):
+            check_concentration(2000, 3, 1, 1, 0.05, 1, 0)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5])
     def test_gamma_checked_before_build(self, monkeypatch, gamma):

@@ -274,6 +274,26 @@ class TestChiSquared:
         assert all(v >= 0 for v in report.per_degree.values())
 
 
+class TestDoubleRange:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_named_in_error(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            LowDegParams(n=6, k=2, p=3, D=2, lam=lam)
+
+    # lambda^60 = 1e12000 at n=50, k=5, p=3, D=30: far beyond the double range
+    HUGE = LowDegParams(n=50, k=5, p=3, D=30, lam=1e200)
+
+    def test_log_float_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="double range"):
+            chi_squared_exact(self.HUGE, arithmetic="log-float")
+
+    def test_exact_overflow_is_value_error(self):
+        report = chi_squared_exact(self.HUGE)
+        assert report.total > 10**308
+        with pytest.raises(ValueError, match="double range"):
+            report.to_json_dict()
+
+
 class TestLimitsConfig:
     """n=2000, k=40, p=4, D=60: the configuration of the benchmark's limits op."""
 

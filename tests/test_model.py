@@ -21,7 +21,7 @@ from stpca.model import (
     write_meta_json,
 )
 from stpca.recovery import preprocess_split
-from stpca.tensor import DenseTensor, add_rank1
+from stpca.tensor import CapacityError, DenseTensor, add_rank1
 
 
 def serial_blocks(seed, label, size):
@@ -212,9 +212,24 @@ class TestSampleSstm:
         with pytest.raises(ValueError, match=f"p={p}"):
             SignalSpec(n=10, p=p, k=2, strengths=(5.0,))
 
+    def test_capacity_checked_before_sampling(self):
+        # refused before any draw: n^p is over the cap, though n-sized factors would fit
+        with pytest.raises(CapacityError):
+            sample_sstm(SignalSpec(n=10**6, p=3, k=2, strengths=(5.0,)), 0)
+        with pytest.raises(CapacityError):
+            sample_distinguishing(10**6, 3, 2, 5.0, "H1", 0)
+
     def test_strength_count_named_in_error(self):
         with pytest.raises(ValueError, match="r=3 and 2 strengths"):
             SignalSpec(n=20, p=3, k=2, r=3, strengths=(2.0, 1.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_named_in_error(self, value):
+        # NaN passed every comparison and was written into the tensor
+        with pytest.raises(ValueError, match="strengths must be finite"):
+            SignalSpec(n=20, p=3, k=2, r=2, strengths=(5.0, value))
+        with pytest.raises(ValueError, match="A must be finite"):
+            SignalSpec(n=20, p=3, k=2, A=value, mode="apx-flat")
 
 
 class TestGeneralInstance:
