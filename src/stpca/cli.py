@@ -46,7 +46,7 @@ def _cmd_sample(args) -> int:
     )
     inst = model.sample_sstm(spec, args.seed)
     tensor.write_sstf1(inst.observation, args.out)
-    model.write_meta_json(args.out + ".meta.json", spec, args.seed, inst)
+    model.write_meta_json(args.out + ".meta.json", inst)
     print(f"wrote {args.out} and {args.out}.meta.json")
     return 0
 

@@ -41,6 +41,25 @@ _CONFIG_KEYS = {
     "record_runtime": "record_runtime",
 }
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (what, check) per typed PhaseConfig field; a grid's check applies to each member
+_FIELD_TYPES = {
+    **{name: ("ints", _is_int) for name in ("n_grid", "p_grid", "k_grid", "r_grid", "t_grid")},
+    "lambda_grid": ("ints or floats", _is_number),
+    "trials": ("an int", _is_int),
+    "master_seed": ("an int", _is_int),
+    "noise_scale": ("an int or a float", _is_number),
+    "record_runtime": ("a bool", lambda value: isinstance(value, bool)),
+}
+
 CONCENTRATION_CANDIDATE_GUARD = 10**5
 CONCENTRATION_PAIR_GUARD = 2 * 10**5
 # terms the kept family holds, t^p per member: 2^24 int64 + float64 rows = 256 MiB
@@ -53,7 +72,10 @@ class PhaseConfig:
 
     lambda_mode "absolute" takes lambdas as-is; "threshold-multiple" scales
     each lambda by the provable threshold of the cell (eps=1/2, kappa=5,
-    delta=0.01). noise_scale 0 is the noise-free debug mode.
+    delta=0.01). noise_scale multiplies the model noise W; at 0 the
+    observation is the bare spike, but the split still adds its unit noise Z,
+    so Y1 carries noise of variance 1/2. Each field's type is checked (bool is
+    no number), so a config built in Python meets the checks a JSON one does.
     """
 
     n_grid: tuple[int, ...]
@@ -71,15 +93,21 @@ class PhaseConfig:
     record_runtime: bool = True
 
     def __post_init__(self):
-        for name in ("n_grid", "p_grid", "k_grid", "r_grid", "t_grid", "lambda_grid"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+        for name, (what, check) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name.endswith("_grid"):
+                if not value:
+                    raise ValueError(f"{name} must be nonempty")
+                if not all(map(check, value)):
+                    raise ValueError(f"{name} must hold {what}, got {list(value)!r}")
+            elif not check(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.lambda_mode not in ("absolute", "threshold-multiple"):
             raise ValueError("lambda_mode must be 'absolute' or 'threshold-multiple'")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
 
     def cells(self) -> list[tuple[int, int, int, int, int, float]]:
         return list(

@@ -52,6 +52,8 @@ def packing_lower_bound_log(n: int, k: int, eps: float) -> float:
 
 def kl_upper_bound(lam: float) -> float:
     """KL divergence between two spiked laws is at most 2 lam^2."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return 2 * lam**2

@@ -303,18 +303,17 @@ def sample_distinguishing(
     return DenseTensor._owned(n, p, data), prior
 
 
-def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstance | None = None) -> None:
-    """Sidecar metadata: asdict(spec) in field order, seed, and (if given) the ground truth."""
-    doc = dict(asdict(spec), seed=seed)
-    if instance is not None:
-        doc["truth"] = [
-            {
-                "strength": sig.strength,
-                "composition": list(sig.composition),
-                "supports": [sorted(f.support_set()) for f in sig.factors],
-            }
-            for sig in instance.truth
-        ]
+def write_meta_json(path: str, instance: SstmInstance) -> None:
+    """Sidecar metadata of an instance: asdict(spec) in field order, seed, and the ground truth."""
+    truth = [
+        {
+            "strength": sig.strength,
+            "composition": list(sig.composition),
+            "supports": [sorted(f.support_set()) for f in sig.factors],
+        }
+        for sig in instance.truth
+    ]
+    doc = dict(asdict(instance.spec), seed=instance.seed, truth=truth)
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -322,8 +321,8 @@ def write_meta_json(path: str, spec: SignalSpec, seed: int, instance: SstmInstan
 
 def read_truth_supports(path: str) -> list[frozenset[int]] | None:
     """Truth supports from a :func:`write_meta_json` sidecar, one per planted
-    factor in planting order; None when the sidecar holds no truth. A sidecar
-    of any other shape raises ValueError naming the path."""
+    factor in planting order; None when the sidecar holds no truth (one written
+    by other tools). A sidecar of any other shape raises ValueError naming the path."""
     with open(path) as f:
         meta = json.load(f)
     if not isinstance(meta, dict):

@@ -259,11 +259,9 @@ def top_k_magnitude(alpha: np.ndarray, k: int) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in order[:k])
 
 
-def recover_single(
-    Y: DenseTensor, k: int, t: int, seed: int, workers: int = 1
-) -> tuple[frozenset[int], float]:
+def recover_single(Y: DenseTensor, k: int, t: int, seed: int) -> tuple[frozenset[int], float]:
     """Single-spike limited brute force; returns (support estimate, argmax value)."""
-    recovered, values = recover_multi(Y, k, t, 1, seed, workers)
+    recovered, values = recover_multi(Y, k, t, 1, seed)
     return recovered[0], values[0]
 
 
@@ -281,11 +279,9 @@ def recover_multi(
     recovered: list[frozenset[int]] = []
     values: list[float] = []
     forbidden: set[int] = set()
-    for i in range(r):
-        try:
-            v_star, value = argmax_over_Ut(Y1, t, forbidden, workers)
-        except EnumerationError as exc:
-            raise EnumerationError(f"round {i + 1}/{r}: {exc}") from exc
+    # round i finds n - (i-1)k >= k >= t free coordinates, so U_t is never empty
+    for _ in range(r):
+        v_star, value = argmax_over_Ut(Y1, t, forbidden, workers)
         alpha = contract_leave_one(Y2, v_star)
         support = top_k_magnitude(alpha, k)
         recovered.append(support)
@@ -403,8 +399,8 @@ def match_supports(
     )
 
 
-def distinguish(Y: DenseTensor, xhat: DenseUnitVector, k: int, C: float = 2.0) -> str:
-    """'planted' iff |<Y, xhat^{xp}>| >= C sqrt(k ln n), else 'null'."""
+def distinguish(Y: DenseTensor, xhat: DenseUnitVector, k: int) -> str:
+    """'planted' iff |<Y, xhat^{xp}>| >= 2 sqrt(k ln n), else 'null'."""
     stat = abs(rank1_inner(Y, [xhat] * Y.p))
-    return "planted" if stat >= C * math.sqrt(k * math.log(Y.n)) else "null"
+    return "planted" if stat >= 2.0 * math.sqrt(k * math.log(Y.n)) else "null"
 

@@ -187,6 +187,14 @@ class TestItboundCommand:
         doc = json.loads(out)
         assert doc["covering_number"] == {"l2": 8, "rho": 4}
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_runtime_error(self, capsys, lam):
+        # once printed "kl_upper": NaN or Infinity, which is not JSON, and exited 0
+        code, out, err = run_cli(capsys, "itbound", "--n", "100", "--k", "10", "--lambda", lam)
+        assert code == 2
+        assert out == ""
+        assert "lam must be finite" in err
+
 
 class TestPhaseCommand:
     def test_sweep_to_csv(self, tmp_path, capsys):
@@ -351,6 +359,42 @@ class TestRejectedInput:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+
+class TestPhaseConfigTypes:
+    CONFIG = {"n": [8], "p": [3], "k": [2], "t": [1], "lambda": [1.0], "trials": 1, "seed": 5}
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("trials", 2.5, "trials"),
+        ("trials", "2", "trials"),
+        ("trials", True, "trials"),
+        ("n", ["a"], "n_grid"),
+        ("n", [6.5], "n_grid"),
+        ("seed", "x", "master_seed"),
+        ("noise_scale", "a", "noise_scale"),
+        ("lambda", ["5"], "lambda_grid"),
+        ("lambda", ["abc"], "lambda_grid"),
+    ], ids=["float-trials", "string-trials", "bool-trials", "string-n", "float-n",
+            "string-seed", "string-noise-scale", "numeric-string-lambda", "string-lambda"])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, key, value, named):
+        # once a TypeError traceback (exit 1), a quiet error row, or a run on a coerced value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, **{key: value})))
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "phase", "--config", str(cfg), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("stpca: error:")
+        assert named in err
+        assert not out_path.exists()
+
+    def test_int_lambda_still_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, **{"lambda": [5]})))
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "phase", "--config", str(cfg), "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text().splitlines()[1].split(",")[5] == "5.0"
 
 
 class TestTruthMismatch:

@@ -207,7 +207,7 @@ class TestOwnership:
         ell = data.draw(st.integers(1, p)) if mode == "general" else 1
         r = 1 if mode == "general" else data.draw(st.integers(1, 3))
         k = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(r * k * ell, 9))
+        n = data.draw(st.integers(r * k * ell, max(9, r * k * ell)))
         strengths = sorted(data.draw(st.lists(
             st.sampled_from([0.0, 0.5, 3.0, 7.25]), min_size=r, max_size=r)), reverse=True)
         A = data.draw(st.floats(1.0, 3.0)) if mode == "apx-flat" else 1.0

@@ -105,6 +105,17 @@ class TestPhaseDiagram:
         good = [r for r in rows if r["t"] == "1"]
         assert all(not r["error"] for r in good)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("k_grid", (2.0,)), ("lambda_grid", (False,)),
+        ("noise_scale", None), ("noise_scale", math.nan), ("noise_scale", math.inf),
+        ("record_runtime", 1),
+    ], ids=["bool-trials", "float-k", "bool-lambda", "none-noise-scale", "nan-noise-scale",
+            "inf-noise-scale", "int-record-runtime"])
+    def test_config_built_in_python_is_checked(self, field, value):
+        # a NaN noise_scale once ran, and reported exact recovery with a nan argmax value
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
     def test_row_layout(self, tmp_path):
         # t=5 > k=3: threshold_lambda refuses the cell, so lambda stays empty
         # and only the error column is filled; runtime off leaves it empty

@@ -297,7 +297,7 @@ class TestMetaSidecar:
         spec = SignalSpec(n=8, p=2, k=2, r=2, strengths=(2.0, 1.0))
         inst = sample_sstm(spec, 3)
         path = str(tmp_path / "y.sstf.meta.json")
-        write_meta_json(path, spec, 3, inst)
+        write_meta_json(path, inst)
         doc = json.loads(open(path).read())
         fields = json.loads(json.dumps(dataclasses.asdict(spec)))
         assert {key: doc[key] for key in fields} == fields
@@ -311,7 +311,7 @@ class TestMetaSidecar:
     def test_top_level_key_order(self, tmp_path):
         spec = SignalSpec(n=12, p=3, k=2, strengths=(4.0,), mode="general", ell=2)
         path = str(tmp_path / "y.sstf.meta.json")
-        write_meta_json(path, spec, 3, sample_sstm(spec, 3))
+        write_meta_json(path, sample_sstm(spec, 3))
         with open(path) as f:
             doc = json.load(f)
         assert list(doc) == [
@@ -322,5 +322,6 @@ class TestMetaSidecar:
     def test_no_truth_reads_as_none(self, tmp_path):
         spec = SignalSpec(n=8, p=2, k=2)
         path = str(tmp_path / "y.sstf.meta.json")
-        write_meta_json(path, spec, 3)
+        with open(path, "w") as f:  # a sidecar from another tool, with no truth
+            json.dump(dict(dataclasses.asdict(spec), seed=3), f)
         assert read_truth_supports(path) is None
