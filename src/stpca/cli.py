@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from . import experiments, infotheory, lowdeg, model, recovery, tensor
 
@@ -82,10 +83,15 @@ def _cmd_recover(args) -> int:
 
 def _cmd_lowdeg(args) -> int:
     params = lowdeg.LowDegParams(n=args.n, k=args.k, p=args.p, D=args.D, lam=args.lam)
-    # the threshold calculators check --eps, so they run before the chi-squared sum
-    lower = lowdeg.lower_bound_lambda(args.n, args.k, args.p, args.D, args.eps)
-    upper = lowdeg.upper_bound_lambda(args.n, args.k, args.p, args.D, 2 * args.eps)
-    doc = lowdeg.chi_squared_exact(params, arithmetic=args.arithmetic).to_json_dict()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # the threshold calculators check --eps, so they run before the chi-squared sum
+        lower = lowdeg.lower_bound_lambda(args.n, args.k, args.p, args.D, args.eps)
+        upper = lowdeg.upper_bound_lambda(args.n, args.k, args.p, args.D, 2 * args.eps)
+        doc = lowdeg.chi_squared_exact(params, arithmetic=args.arithmetic).to_json_dict()
+    # lower_bound_lambda and chi_squared_exact both warn when D > 2n/p
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"stpca: warning: {message}", file=sys.stderr)
     doc["lower_threshold"] = lower
     doc["upper_thresholds"] = upper.to_json_dict()
     _emit(doc, args.out)

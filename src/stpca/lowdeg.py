@@ -3,12 +3,12 @@
 The degree-<=D chi-squared mass decomposes over multi-indices alpha of tensor
 entries; only alpha whose per-coordinate usage counts are all even contribute.
 Counting those alpha by the number s of distinct coordinates reduces the sum
-to exact integer combinatorics over the closed-form power sums of
-even_all_count. One integer coefficient table per call folds in
-even_surj_count's inclusion-exclusion, so each degree is one dot product,
-evaluated in rational arithmetic. even_surj_count is the reference for that
-table, a brute-force multiset oracle cross-checks the totals, and the
-threshold calculators cover both directions.
+to exact integer combinatorics over even_all_count, which a four-step integer
+recurrence in m fills row by row, in increasing m. One integer coefficient
+table per call folds in even_surj_count's inclusion-exclusion, so each degree
+is one dot product, evaluated in rational arithmetic. even_surj_count is the
+reference for that table, a brute-force multiset oracle cross-checks the
+totals, and the threshold calculators cover both directions.
 """
 
 from __future__ import annotations
@@ -78,19 +78,32 @@ def _as_double(f, *args) -> float:
 def even_all_count(m: int, j: int) -> int:
     """Length-m sequences over j labeled symbols with every symbol count even.
 
-    The exponential generating function is cosh(x)^j = 2^-j sum_i C(j, i)
-    e^{(j - 2i) x}, so the count is 2^-j sum_i C(j, i) (j - 2i)^m. The power
-    sum vanishes for odd m (terms i and j - i cancel). For even m those terms
-    are equal, so the half with i < j/2 is taken twice; the middle term
-    C(j, j/2) 0^m adds up to 2^j only at m = 0, where the count is 1.
+    The count E(m, j) is the coefficient of x^m/m! in cosh(x)^j. Differentiating
+    twice gives E(m, j) = j^2 E(m-2, j) - j(j-1) E(m-2, j-2); applied twice,
+
+        E(m, j) = j^4 E(m-4, j) - 2j(j-1)(j^2-2j+2) E(m-4, j-2)
+                  + j(j-1)(j-2)(j-3) E(m-4, j-4),
+
+    from E(0, j) = 1 and E(2, j) = j; odd m gives 0. Each entry costs three
+    small-int by big-int products.
+
+    A cold call recurses m/4 levels deep, and each level uses two of the
+    interpreter's recursion limit (1000 by default), so a cold call with m
+    of 2,000 or more raises RecursionError. _degree_terms fills the rows in
+    increasing m, so its calls recurse one level at most.
     """
     if m < 0 or j < 0:
         raise ValueError("m and j must be nonnegative")
     if m % 2 == 1:
         return 0
-    if m == 0:
-        return 1
-    return 2 * sum(math.comb(j, i) * (j - 2 * i) ** m for i in range((j + 1) // 2)) >> j
+    if m <= 2:
+        return j if m == 2 else 1
+    count = j**4 * even_all_count(m - 4, j)
+    if j >= 2:
+        count -= 2 * j * (j - 1) * (j * j - 2 * j + 2) * even_all_count(m - 4, j - 2)
+    if j >= 4:
+        count += j * (j - 1) * (j - 2) * (j - 3) * even_all_count(m - 4, j - 4)
+    return count
 
 
 def even_surj_count(m: int, s: int) -> int:
@@ -117,10 +130,16 @@ def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
     because even_all_count(m, 0) = 0^m. S never decreases with d, so each s
     adds its row to the table once. Scaled by n^(2 S_max) every row is an
     integer, and each degree costs one dot product and one Fraction.
+
+    even_all_count's recurrence steps m by 4, so the rows m = 0 and m = 2
+    (mod 4) form two chains. Before each degree, m's chain is filled up to
+    row m for every j <= S_max, in increasing m, so no call recurses more
+    than one row.
     """
     s_max = min(p * D // 2, n)
     scale = n ** (2 * s_max)
     coeffs = [0]  # coeffs[j] = scale * c_j(S); j = 0 is never read
+    chain_top = {0: 0, 2: -2}  # last row filled per chain; base row 0 is never requested
     for d in range(1, D + 1):
         m = p * d
         if m % 2 == 1:
@@ -134,7 +153,10 @@ def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
             for j in range(s, 0, -1):
                 coeffs[j] += -row if (s - j) % 2 else row
                 row = row * j // (s - j + 1)
-        num = sum(coeffs[j] * even_all_count(m, j) for j in range(1, S + 1))
+        for m_fill in range(chain_top[m % 4] + 4, m + 1, 4):  # ends at m_fill = m
+            counts = [even_all_count(m_fill, j) for j in range(1, s_max + 1)]
+        chain_top[m % 4] = m
+        num = sum(c * e for c, e in zip(coeffs[1:], counts))  # j = 1..S
         yield Fraction(num, scale * math.factorial(d))
 
 
@@ -152,17 +174,23 @@ def degree_term(n: int, k: int, p: int, d: int) -> Fraction:
     return term
 
 
+def _degree_in_range(n: int, p: int, D: int) -> bool:
+    """Whether D <= 2n/p; otherwise warn, with the one message both callers share."""
+    if D <= 2 * n / p:
+        return True
+    warnings.warn(f"D={D} exceeds 2n/p={2 * n / p:.3g}", stacklevel=3)
+    return False
+
+
 def chi_squared_exact(params: LowDegParams, arithmetic: str = "exact-rational") -> ChiSqReport:
-    """total = sum_{d=1}^{D} lam^{2d} k^{-pd} degree_term(n, k, p, d)."""
+    """total = sum_{d=1}^{D} lam^{2d} k^{-pd} degree_term(n, k, p, d).
+
+    Warns when D > 2n/p; the counting range is then capped at s <= n.
+    """
     if arithmetic not in ("exact-rational", "log-float"):
         raise ValueError("arithmetic must be 'exact-rational' or 'log-float'")
     n, k, p, D, lam = params.n, params.k, params.p, params.D, params.lam
-    in_range = D <= 2 * n / p
-    if not in_range:
-        warnings.warn(
-            f"D={D} exceeds 2n/p={2 * n / p:.3g}; counting range capped at s <= n",
-            stacklevel=2,
-        )
+    in_range = _degree_in_range(n, p, D)
     terms = enumerate(_degree_terms(n, k, p, D), start=1)
     per_degree: dict[int, Fraction | float] = {}
     if arithmetic == "exact-rational":
@@ -225,8 +253,7 @@ def lower_bound_lambda(n: int, k: int, p: int, D: int, eps: float) -> float:
     """Signal strength below which the degree-<=D chi-squared mass is <= 2 eps."""
     if not 0 <= eps <= 0.5:
         raise ValueError("eps must be in [0, 1/2]")
-    if D > 2 * n / p:
-        warnings.warn(f"D={D} exceeds 2n/p={2 * n / p:.3g}", stacklevel=2)
+    _degree_in_range(n, p, D)
     term_n = (n / (p * D)) ** (p / 4)
     term_k = (k / (p * D) * (1 + abs(math.log(n * p * D / (math.e * k**2))))) ** (p / 2)
     return math.sqrt(eps * D / (math.e * 4**p)) * min(term_n, term_k)

@@ -137,6 +137,20 @@ class TestLowdegCommand:
         assert doc["chi2"] == pytest.approx(sum(doc["per_degree"].values()), rel=1e-12)
         assert "lower_threshold" in doc and "upper_thresholds" in doc
 
+    @pytest.mark.parametrize("D, in_range, err_text", [
+        ("3", False, "stpca: warning: D=3 exceeds 2n/p=2\n"),
+        ("2", True, ""),
+    ])
+    def test_out_of_range_D_warns_once(self, capsys, D, in_range, err_text):
+        # lower_bound_lambda and chi_squared_exact both flag D > 2n/p
+        code, out, err = run_cli(
+            capsys, "lowdeg", "--n", "2", "--k", "1", "--p", "2",
+            "--D", D, "--lambda", "1",
+        )
+        assert code == 0
+        assert err == err_text
+        assert json.loads(out)["d_le_2n_over_p"] is in_range
+
     @pytest.mark.parametrize("eps, code, message", [
         ("0", 2, "eps must be positive"),
         ("0.6", 2, "eps must be in [0, 1/2]"),

@@ -67,14 +67,34 @@ def recursive_even_all(m, j):
     return sum(math.comb(m, c) * recursive_even_all(m - c, j - 1) for c in range(0, m + 1, 2))
 
 
-def reference_degree_term(n, k, p, d):
-    """(1/d!) sum_s C(n, s) (k/n)^{2s} even_surj_count(pd, s), one degree at a time."""
+@functools.cache
+def closed_form_even_all(m, j):
+    """The power sum 2^-j sum_i C(j, i) (j - 2i)^m, the coefficient of x^m/m! in
+    cosh(x)^j = 2^-j sum_i C(j, i) e^{(j - 2i) x}. Terms i and j - i cancel for
+    odd m and are equal for even m, so the half i < j/2 is taken twice; the
+    middle term C(j, j/2) 0^m adds up to 2^j only at m = 0, where the count is 1."""
+    if m % 2 == 1:
+        return 0
+    if m == 0:
+        return 1
+    return 2 * sum(math.comb(j, i) * (j - 2 * i) ** m for i in range((j + 1) // 2)) >> j
+
+
+def closed_form_even_surj(m, s):
+    """even_surj_count's inclusion-exclusion over closed_form_even_all, so no
+    value comes from the library's counting cache."""
+    return sum((-1) ** (s - j) * math.comb(s, j) * closed_form_even_all(m, j)
+               for j in range(s + 1))
+
+
+def reference_degree_term(n, k, p, d, surj=even_surj_count):
+    """(1/d!) sum_s C(n, s) (k/n)^{2s} surj(pd, s), one degree at a time."""
     m = p * d
     if m % 2 == 1:
         return Fraction(0)
     ratio = Fraction(k, n)
     total = sum(
-        (math.comb(n, s) * ratio ** (2 * s) * even_surj_count(m, s)
+        (math.comb(n, s) * ratio ** (2 * s) * surj(m, s)
          for s in range(1, min(m // 2, n) + 1)),
         Fraction(0),
     )
@@ -127,14 +147,25 @@ class TestEvenAllCount:
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(0, 120), j=st.integers(0, 60))
     def test_closed_form_matches_recursion(self, m, j):
-        assert even_all_count(m, j) == recursive_even_all(m, j)
+        assert even_all_count(m, j) == closed_form_even_all(m, j) == recursive_even_all(m, j)
 
     def test_half_sum_matches_full_power_sum(self):
         # odd m, m = 0 and j = 0 are the cases the half sum treats apart
         for m in (0, 1, 2, 3, 7, 10, 33, 40):
             for j in range(20):
                 full = sum(math.comb(j, i) * (j - 2 * i) ** m for i in range(j + 1)) >> j
-                assert even_all_count(m, j) == full
+                assert even_all_count(m, j) == closed_form_even_all(m, j) == full
+
+    def test_recurrence_matches_closed_form_exhaustively(self):
+        # every entry of the benchmark's limits config (m <= 240, j <= 120) and more
+        for m in range(0, 241, 2):
+            for j in range(121):
+                assert even_all_count(m, j) == closed_form_even_all(m, j), (m, j)
+
+    def test_cold_direct_call_at_m_1000(self):
+        # 250 levels of recursion, within the limit the docstring states
+        even_all_count.cache_clear()
+        assert even_all_count(1000, 40) == closed_form_even_all(1000, 40)
 
     def test_large_j_needs_no_recursion(self):
         # m=2: one of the j symbols, used twice
@@ -263,6 +294,21 @@ class TestChiSquared:
         hi = chi_squared_exact(LowDegParams(n=3, k=2, p=2, D=2, lam=lam + bump)).total
         assert hi > lo
 
+    def test_totals_match_closed_form_reference(self):
+        # p in 2..5 covers both row chains and the fill between requested rows
+        lam = 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in (2, 3, 4, 5):
+                for n in range(1, 13):
+                    for k in range(1, n + 1):
+                        expected = Fraction(0)
+                        for D in range(1, 13):
+                            term = reference_degree_term(n, k, p, D, closed_form_even_surj)
+                            expected += Fraction(lam) ** (2 * D) / Fraction(k) ** (p * D) * term
+                            total = chi_squared_exact(LowDegParams(n, k, p, D, lam)).total
+                            assert total == expected, (n, k, p, D)
+
     def test_out_of_range_D_warns(self):
         with pytest.warns(UserWarning):
             chi_squared_exact(LowDegParams(n=2, k=1, p=2, D=3, lam=1.0))
@@ -302,8 +348,9 @@ class TestLimitsConfig:
     def test_cold_cache_entries_and_exact_total(self):
         even_all_count.cache_clear()
         total = chi_squared_exact(self.PARAMS).total
-        # one entry per (pd, j) with 1 <= j <= pd/2 = 2d, and none for j = 0
-        assert even_all_count.cache_info().currsize == sum(2 * d for d in range(1, 61)) == 3660
+        # rows m = 4..240 filled for 1 <= j <= S_max = 120, the base row m = 0 for
+        # 0 <= j <= 120, and j = 0 at m = 4..236, reached from j = 2 and j = 4
+        assert even_all_count.cache_info().currsize == 60 * 120 + 121 + 59 == 7380
         digest = hashlib.sha256(f"{total.numerator}/{total.denominator}".encode()).hexdigest()
         assert digest == "3778b4571db8c2f41f52f147d5fa8a2ffbc49899359749a40310f4480805e31a"
 
