@@ -36,16 +36,21 @@ class LowDegParams:
     lam: float
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
+        _check_nkp(self.n, self.k, self.p)
         if self.D < 1:
             raise ValueError("D must be >= 1")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
+
+
+def _check_nkp(n: int, k: int, p: int) -> None:
+    """The ranges the counting identities assume: 1 <= k <= n (so n >= 1), p >= 2."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if p < 2:
+        raise ValueError("p must be >= 2")
 
 
 @dataclass
@@ -128,8 +133,13 @@ def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
     d! degree_term = sum_{j=1}^{S} c_j(S) even_all_count(m, j), where
     c_j(S) = sum_{s=j}^{S} (-1)^{s-j} C(n, s) C(s, j) r^{2s}; j = 0 drops out
     because even_all_count(m, 0) = 0^m. S never decreases with d, so each s
-    adds its row to the table once. Scaled by n^(2 S_max) every row is an
-    integer, and each degree costs one dot product and one Fraction.
+    adds its row to the table once. In lowest terms r = k'/n', with
+    g = gcd(n, k), n' = n/g and k' = k/g; scaled by n'^(2 S_max), every row
+    is an integer, C(n, s) k'^(2s) n'^(2(S_max - s)) C(s, j), and each degree
+    costs one dot product and one Fraction. Fractions normalize, so the terms
+    equal those of the unreduced scale n^(2 S_max), which coprime n and k
+    (g = 1) keep; at n=2000, k=40 (g = 40, r = 1/50) every integer is about
+    half as long.
 
     even_all_count's recurrence steps m by 4, so the rows m = 0 and m = 2
     (mod 4) form two chains. Before each degree, m's chain is filled up to
@@ -137,7 +147,9 @@ def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
     than one row.
     """
     s_max = min(p * D // 2, n)
-    scale = n ** (2 * s_max)
+    g = math.gcd(n, k)
+    n_red, k_red = n // g, k // g
+    scale = n_red ** (2 * s_max)
     coeffs = [0]  # coeffs[j] = scale * c_j(S); j = 0 is never read
     chain_top = {0: 0, 2: -2}  # last row filled per chain; base row 0 is never requested
     for d in range(1, D + 1):
@@ -149,7 +161,7 @@ def _degree_terms(n: int, k: int, p: int, D: int) -> Iterator[Fraction]:
         for s in range(len(coeffs), S + 1):
             coeffs.append(0)
             # row = scale * C(n, s) r^{2s} C(s, j), walked down from j = s
-            row = math.comb(n, s) * k ** (2 * s) * n ** (2 * (s_max - s))
+            row = math.comb(n, s) * k_red ** (2 * s) * n_red ** (2 * (s_max - s))
             for j in range(s, 0, -1):
                 coeffs[j] += -row if (s - j) % 2 else row
                 row = row * j // (s - j + 1)
@@ -168,6 +180,7 @@ def degree_term(n: int, k: int, p: int, d: int) -> Fraction:
     (1/d!) * sum_s C(n, s) (k/n)^{2s} even_surj_count(pd, s). Zero when pd is
     odd; s is capped at n, which generalizes the d <= 2n/p counting range.
     """
+    _check_nkp(n, k, p)
     if d < 1:
         raise ValueError("d must be >= 1")
     *_, term = _degree_terms(n, k, p, d)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stpca.lowdeg import (
     ChiSqReport,
     LowDegParams,
+    _degree_terms,
     chi_squared_exact,
     chi_squared_oracle,
     degree_term,
@@ -99,6 +100,25 @@ def reference_degree_term(n, k, p, d, surj=even_surj_count):
         Fraction(0),
     )
     return total / math.factorial(d)
+
+
+def unreduced_degree_terms(n, k, p, D):
+    """degree_term for d = 1..D over closed_form_even_all, each degree's
+    coefficient table scaled by n^(2 S_max) with k/n left unreduced."""
+    s_max = min(p * D // 2, n)
+    scale = n ** (2 * s_max)
+    terms = []
+    for d in range(1, D + 1):
+        m = p * d
+        S = min(m // 2, n) if m % 2 == 0 else 0
+        coeffs = [0] * (S + 1)  # coeffs[j] = scale * c_j(S)
+        for s in range(1, S + 1):
+            row = math.comb(n, s) * k ** (2 * s) * n ** (2 * (s_max - s))
+            for j in range(1, s + 1):
+                coeffs[j] += (-1) ** (s - j) * math.comb(s, j) * row
+        num = sum(coeffs[j] * closed_form_even_all(m, j) for j in range(1, S + 1))
+        terms.append(Fraction(num, scale * math.factorial(d)))
+    return terms
 
 
 def reference_log_float(lam, k, p, d, term):
@@ -222,6 +242,32 @@ class TestDegreeTerm:
         for d in range(1, 9):
             assert degree_term(2, 1, 5, d) == reference_degree_term(2, 1, 5, d)
             assert degree_term(3, 2, 4, d) == reference_degree_term(3, 2, 4, d)
+
+    @pytest.mark.parametrize(
+        "n, k, p, d",
+        [(5, 2, 0, 1), (5, 2, 1, 1), (-3, 1, 2, 1), (0, 0, 2, 1), (3, 5, 2, 2), (3, 0, 2, 2)],
+    )
+    def test_invalid_inputs_rejected(self, n, k, p, d):
+        # the same check as LowDegParams, so both reject the same inputs
+        with pytest.raises(ValueError) as term_error:
+            degree_term(n, k, p, d)
+        with pytest.raises(ValueError) as params_error:
+            LowDegParams(n=n, k=k, p=p, D=d, lam=1.0)
+        assert str(term_error.value) == str(params_error.value)
+
+    def test_lowest_terms_match_unreduced_scale(self):
+        # g = gcd(n, k) runs through 1, k (k | n), n (k = n) and the values between;
+        # each D has its own S_max, so each is its own table
+        for p in (2, 3, 4, 5):
+            for n in range(1, 41):
+                for k in range(1, n + 1):
+                    expected = unreduced_degree_terms(n, k, p, 12)
+                    for D in range(1, 13):
+                        assert list(_degree_terms(n, k, p, D)) == expected[:D], (n, k, p, D)
+
+    @pytest.mark.parametrize("n", [2000, 2001])  # g = 40 and g = 1
+    def test_lowest_terms_match_unreduced_scale_at_limits_config(self, n):
+        assert list(_degree_terms(n, 40, 4, 60)) == unreduced_degree_terms(n, 40, 4, 60)
 
     def test_matches_entry_multiset_oracle(self):
         # isolate d=2 from oracle totals at lam=1 (terms scale by k^{-pd})
@@ -378,14 +424,18 @@ class TestThresholds:
         assert report.regime1_lambda == pytest.approx(2 * math.sqrt(2) * math.e, rel=1e-12)
 
     def test_lower_bound_consistency_sweep(self):
-        # at the guaranteed-quiet threshold the chi-squared mass is <= 2 eps
+        # at the guaranteed-quiet threshold the chi-squared mass is <= 2 eps: the
+        # paper's low-degree lower bound as an invariant of the code, on SMALL_GRID
+        # and on n in {50, 200}, k in {2, 5}, p in {2, 3, 4}, D in {2, 4, 8} <= 2n/p
         eps = 0.25
+        grid = [(n, k, 2, D) for n, k, D, _ in SMALL_GRID]
+        grid += itertools.product((50, 200), (2, 5), (2, 3, 4), (2, 4, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for n, k, D, _ in SMALL_GRID:
-                lam = lower_bound_lambda(n, k, 2, D, eps)
-                total = chi_squared_exact(LowDegParams(n=n, k=k, p=2, D=D, lam=lam)).total
-                assert total <= 2 * eps
+            for n, k, p, D in grid:
+                lam = lower_bound_lambda(n, k, p, D, eps)
+                total = chi_squared_exact(LowDegParams(n=n, k=k, p=p, D=D, lam=lam)).total
+                assert total <= 2 * eps, (n, k, p, D)
 
     def test_regime1_consistency(self):
         # at the distinguishing threshold the mass is >= eps
