@@ -271,10 +271,13 @@ def check_concentration(
     per_trial_max = []
     for trial in range(trials):
         W = _noise_data(n, p, trial_seed(seed, 0, trial))
-        # max |<W, u>| over the family is the larger of its maxima against W and -W
+        # max |<W, u>| over the family is the larger of its maxima against W and -W;
+        # at odd p every composition has an odd part, so the family holds -u beside u
         top = argmax_over_family(W, family)[0]
-        W *= -1.0
-        per_trial_max.append(max(top, argmax_over_family(W, family)[0]))
+        if p % 2 == 0:
+            W *= -1.0
+            top = max(top, argmax_over_family(W, family)[0])
+        per_trial_max.append(top)
     failures = sum(1 for v in per_trial_max if v > bound)
     return ConcentrationReport(
         n, p, t, r, gamma, trials, bound, per_trial_max, failures / trials

@@ -10,6 +10,12 @@ forbidden; the general-tensor variant searches over tuples of disjoint
 candidates across mode compositions. Every search streams its family with
 :func:`family_chunks` and scores it with :func:`argmax_over_family`. Every
 size guard and feasibility check reads :func:`candidate_count`; 0 is infeasible.
+
+Flipping the signs of a part that spans m modes scales a member's tensor by
+(-1)^m, so the family splits into sign classes: the members that differ
+only by flips of odd parts hold one tensor up to sign. The stream holds one
+pinned member per class (every part's first sign +1) and the scorer
+recovers the rest, so a member and its negation are never both scored.
 """
 
 from __future__ import annotations
@@ -71,11 +77,13 @@ def preprocess_split(Y: DenseTensor, seed: int) -> tuple[DenseTensor, SplitHalf]
 
 
 def candidate_count(n: int, t: int, n_forbidden: int, p: int, ell: int = 1) -> int:
-    """Members :func:`family_chunks` streams for these arguments (|U_t| at ell=1).
+    """Size of the full candidate family for these arguments (|U_t| at ell=1).
 
     Summed over compositions of p into ell parts: part q picks t of the free
     coordinates left by parts 0..q-1, with 2^t signs, or 2^(t-1) when comp[q]
-    is even (the flip is pinned). Raises ValueError for t < 1 or ell outside [1, p].
+    is even (the flip is pinned). :func:`family_chunks` streams one pinned
+    member per sign class, 1/2^(number of odd parts) of each composition.
+    Raises ValueError for t < 1 or ell outside [1, p].
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
@@ -90,9 +98,11 @@ def candidate_count(n: int, t: int, n_forbidden: int, p: int, ell: int = 1) -> i
     )
 
 
-def _candidates(allowed: list[int], t: int, parity: int):
-    """(support, signs) of each U_t candidate over the allowed indices, in rank order."""
-    pinned = 1 if parity % 2 == 0 else 0
+def _candidates(allowed: list[int], t: int, pinned: bool):
+    """(support, signs) of each U_t candidate over the allowed indices, in rank order.
+
+    With pinned, the first sign of every candidate is +1.
+    """
     patterns = [(1,) * pinned + s for s in itertools.product((1, -1), repeat=t - pinned)]
     for support in itertools.combinations(allowed, t):
         for signs in patterns:
@@ -112,7 +122,7 @@ def enumerate_candidates(
     allowed = [i for i in range(1, n + 1) if i not in forbidden]
     if candidate_count(len(allowed), t, 0, p) == 0:
         raise EnumerationError(f"only {len(allowed)} free coordinates, need t={t}")
-    for support, signs in _candidates(allowed, t, p):
+    for support, signs in _candidates(allowed, t, p % 2 == 0):
         yield SparseSignVector(n, support, signs)
 
 
@@ -151,27 +161,25 @@ def _sparse_terms(n: int, factors: list[_SparseTerms]) -> _SparseTerms:
     return modes, idx, coeffs
 
 
-def _members(n: int, p: int, t: int, ell: int, allowed: list[int]):
-    """(composition, candidates, terms) of every family member, in rank order.
+def _members(n: int, comp: tuple[int, ...], t: int, allowed: list[int]):
+    """(candidates, terms) of every pinned member of one composition, in rank order.
 
-    Compositions come in lexicographic order. Part q of a composition holds a
-    U_t candidate over comp[q] modes, so its sign pruning follows comp[q]'s
-    parity; members are the ordered tuples with pairwise-disjoint supports,
-    the first part varying slowest. A U_t member (ell=1) never repeats, so
-    its terms are built directly; a composite member combines each
-    candidate's power terms, built once per (candidate, part size).
+    Part q holds a U_t candidate over comp[q] modes with its first sign
+    pinned to +1; members are the ordered tuples with pairwise-disjoint
+    supports, the first part varying slowest. A U_t member (one part) never
+    repeats, so its terms are built directly; a composite member combines
+    each candidate's power terms, built once per (candidate, part size).
     """
-    for comp in _compositions(p, ell):
-        if ell == 1:
-            for cand in _candidates(allowed, t, p):
-                yield comp, (cand,), _sparse_terms(n, [_sign_terms(*cand)] * p)
-            continue
-        parts = [[(c, _sparse_terms(n, [_sign_terms(*c)] * m)) for c in _candidates(allowed, t, m)]
-                 for m in comp]
-        for combo in itertools.product(*parts):
-            cands = tuple(cand for cand, _ in combo)
-            if len({i for support, _ in cands for i in support}) == ell * t:
-                yield comp, cands, _sparse_terms(n, [terms for _, terms in combo])
+    if len(comp) == 1:
+        for cand in _candidates(allowed, t, True):
+            yield (cand,), _sparse_terms(n, [_sign_terms(*cand)] * comp[0])
+        return
+    parts = [[(c, _sparse_terms(n, [_sign_terms(*c)] * m)) for c in _candidates(allowed, t, True)]
+             for m in comp]
+    for combo in itertools.product(*parts):
+        cands = tuple(cand for cand, _ in combo)
+        if len({i for support, _ in cands for i in support}) == len(comp) * t:
+            yield cands, _sparse_terms(n, [terms for _, terms in combo])
 
 
 def family_chunks(
@@ -182,48 +190,86 @@ def family_chunks(
     forbidden: frozenset[int] | set[int] = frozenset(),
     chunk_size: int = FAMILY_CHUNK_SIZE,
 ):
-    """Stream the candidate family of an order-p tensor in rank order.
+    """Stream one pinned member per sign class of a candidate family, in rank order.
 
-    The family holds, for every composition of p into ell parts, the ordered
-    tuples of pairwise-disjoint U_t candidates that avoid forbidden; ell=1 is
-    U_t itself. Yields (members, indices, coefficients) for chunk_size
-    members at a time, which bounds the rows held at once: members[j] is
-    (composition, ((support, signs), ...)) and row j of the two
-    (len(members), t**p) arrays holds the flat indices and coefficients of
-    the member's tensor product.
+    The full family holds, for every composition of p into ell parts, the
+    ordered tuples of pairwise-disjoint U_t candidates that avoid forbidden;
+    ell=1 is U_t itself. A pinned member has every part's first sign +1 and
+    stands for itself, or for +-itself when its composition has an odd part
+    (see :func:`argmax_over_family`). Yields (members, indices, coefficients)
+    for up to chunk_size members of one composition at a time, which bounds
+    the rows held at once: members[j] is (composition, ((support, signs),
+    ...)) and row j of the two (len(members), t**p) arrays holds the flat
+    indices and coefficients of the member's tensor product.
     """
+    if chunk_size < 1:
+        raise ValueError(f"need chunk_size >= 1, got chunk_size={chunk_size}")
     allowed = [i for i in range(1, n + 1) if i not in forbidden]
     if candidate_count(len(allowed), t, 0, p, ell) == 0:
         raise EnumerationError(f"only {len(allowed)} free coordinates, need {ell} x t={t}")
-    members = _members(n, p, t, ell, allowed)
-    while True:
-        # raw int64/float64 buffers hold a chunk's rows without a Python object per term
-        ranked, idx, coeffs = [], array("q"), array("d")
-        for comp, cands, (_, m_idx, m_coeffs) in itertools.islice(members, chunk_size):
-            ranked.append((comp, cands))
-            idx.extend(m_idx)
-            coeffs.extend(m_coeffs)
-        if not ranked:
-            return
-        shape = (len(ranked), -1)
-        yield (ranked, np.frombuffer(idx, np.int64).reshape(shape),
-               np.frombuffer(coeffs).reshape(shape))
+    for comp in _compositions(p, ell):
+        members = _members(n, comp, t, allowed)
+        while True:
+            # raw int64/float64 buffers hold a chunk's rows without a Python object per term
+            ranked, idx, coeffs = [], array("q"), array("d")
+            for cands, (_, m_idx, m_coeffs) in itertools.islice(members, chunk_size):
+                ranked.append((comp, cands))
+                idx.extend(m_idx)
+                coeffs.extend(m_coeffs)
+            if not ranked:
+                break
+            shape = (len(ranked), -1)
+            yield (ranked, np.frombuffer(idx, np.int64).reshape(shape),
+                   np.frombuffer(coeffs).reshape(shape))
+
+
+def _rank_key(scored):
+    """Sort key of a (value, member) pair: higher value first, then earlier rank.
+
+    Rank order is the composition, then for each part its support and its
+    signs read as bits (-1 = 1, the first sign most significant).
+    """
+    value, (comp, cands) = scored
+    return -value, comp, tuple((support, tuple(-s for s in signs)) for support, signs in cands)
+
+
+def _class_best(value: float, member, odd: list[int]):
+    """Earliest member of a pinned member's sign class with the class's best value.
+
+    odd lists the composition's odd parts. Flipping an odd part negates the
+    value, so when value < 0 the best is -value, first reached by flipping
+    only the last odd part. IEEE negation is exact: -value has the bits the
+    flipped member's own row sums to.
+    """
+    if value >= 0 or not odd:
+        return value, member
+    comp, cands = member
+    q = odd[-1]
+    support, signs = cands[q]
+    return -value, (comp, (*cands[:q], (support, tuple(-s for s in signs)), *cands[q + 1:]))
 
 
 def argmax_over_family(data: np.ndarray, family, workers: int = 1):
-    """First maximum of <data, member> over a family, in rank order.
+    """First maximum of <data, member> over a full family, in rank order.
 
     family is a sequence of :func:`family_chunks` chunks, streamed or kept to
-    score several tensors; data is a tensor's flat entries. Returns
-    (value, member). Ties break by rank (earliest wins), so the result is
-    identical for any worker count or chunk size.
+    score several tensors; data is a tensor's flat entries. A pinned member
+    scores v, and |v| when its composition has an odd part, since its class
+    then also holds members scoring -v. Returns (value, member). Ties break
+    by rank (earliest wins), within a chunk and across chunks, so the result
+    is identical for any worker count or chunk size. Raises ValueError when
+    a score is NaN or infinite.
     """
 
     def best_in(chunk):
         members, idx, coeffs = chunk
         values = (data[idx] * coeffs).sum(axis=1)
-        j = int(np.argmax(values))  # np.argmax returns the first max: rank tie-break
-        return float(values[j]), members[j]
+        if not np.isfinite(values).all():
+            raise ValueError("a candidate score is not finite: the tensor holds NaN or inf")
+        odd = [q for q, m in enumerate(members[0][0]) if m % 2]
+        scores = np.abs(values) if odd else values
+        tied = np.flatnonzero(scores == scores.max())
+        return min((_class_best(float(values[j]), members[j], odd) for j in tied), key=_rank_key)
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -232,8 +278,7 @@ def argmax_over_family(data: np.ndarray, family, workers: int = 1):
             scored = list(pool.map(best_in, family))
     else:
         scored = map(best_in, family)
-    # max keeps the first of equal values: the rank tie-break across chunks
-    return max(scored, key=lambda s: s[0])
+    return min(scored, key=_rank_key)
 
 
 def argmax_over_Ut(

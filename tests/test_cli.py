@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from stpca import lowdeg
@@ -354,6 +355,20 @@ class TestRejectedInput:
         assert out == ""
         assert not list(workdir.glob("out.sstf*"))
         assert not (workdir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_is_exit_2(self, tmp_path, capsys, entry):
+        # once printed "argmax_values": [NaN] or [Infinity], which is not JSON, and exited 0
+        data = np.zeros(6**3)
+        data[0] = float(entry)  # entry (1, 1, 1)
+        path = str(tmp_path / "y.sstf")
+        write_sstf1(DenseTensor(6, 3, data), path)
+        code, out, err = run_cli(capsys, "recover", "--in", path, "--k", "2", "--t", "1",
+                                 "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("stpca: error:") and err.count("\n") == 1
+        assert "not finite" in err
 
     @pytest.mark.parametrize("ell", ["0", "-2"])
     def test_nonpositive_ell_is_usage_error(self, workdir, capsys, ell):

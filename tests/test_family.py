@@ -5,9 +5,12 @@ order and keep the first maximum: U_t members come from
 ``enumerate_candidates``, general-spike tuples from the recursive
 disjoint-tuple enumeration below. Sums run in a different order than the
 scorer's, so values agree to rounding while members must agree exactly.
+The exact oracle builds a row for every member of the full family, with the
+scorer's own row arithmetic, so members and value bits must both agree.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +79,44 @@ def random_tensor(n, p, seed):
     return DenseTensor(n, p, np.random.default_rng(seed).standard_normal(n**p))
 
 
+def oracle_row(n, comp, cands):
+    """Flat indices and coefficients of one member's tensor, built as the
+    scorer's rows are: each part's power first, then the parts, every
+    coefficient a left-to-right product."""
+    idx, coeffs = [0], [1.0]
+    for m, (support, signs) in zip(comp, cands):
+        mag = 1.0 / math.sqrt(len(support))
+        part_idx, part_coeffs = [0], [1.0]
+        for _ in range(m):
+            part_idx = [x * n + i - 1 for x in part_idx for i in support]
+            part_coeffs = [x * (s * mag) for x in part_coeffs for s in signs]
+        idx = [x * n**m + i for x in idx for i in part_idx]
+        coeffs = [x * c for x in coeffs for c in part_coeffs]
+    return idx, coeffs
+
+
+def oracle_argmax_exact(data, n, p, t, ell, forbidden=frozenset()):
+    """First maximum over a row for every full-family member, in rank order."""
+    members = [(comp, tuple((c.support, c.signs) for c in cands))
+               for comp, cands, _ in oracle_family(n, p, t, ell, forbidden)]
+    rows = [oracle_row(n, *member) for member in members]
+    idx = np.array([i for i, _ in rows])
+    coeffs = np.array([c for _, c in rows])
+    values = (data[idx] * coeffs).sum(axis=1)
+    j = int(np.argmax(values))
+    return float(values[j]), members[j]
+
+
+def tie_heavy_tensor(n, p, kind, seed):
+    """Entries in {-1, 0, 1}, or one signed nonzero: many members tie."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(-1, 2, n**p).astype(float)
+    data = np.zeros(n**p)
+    data[rng.integers(n**p)] = rng.choice([-1.0, 1.0])
+    return data
+
+
 seeds = st.integers(0, 2**32 - 1)
 chunk_sizes = st.sampled_from([1, 7, 4096])
 
@@ -121,6 +162,46 @@ def test_general_family_matches_oracle(p, ell, t, extra, seed, chunk_size):
     assert value == pytest.approx(o_value, rel=REL, abs=REL)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    ell=st.integers(1, 3),
+    t=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    forbidden_bits=st.integers(0, 2**3 - 1),
+    kind=st.sampled_from(["integer", "one-hot"]),
+    seed=seeds,
+    chunk_size=chunk_sizes,
+)
+def test_ties_and_value_bits_match_full_family(p, ell, t, extra, forbidden_bits, kind, seed,
+                                               chunk_size):
+    # one pinned member per sign class is scored; the winner and its bits must be
+    # those of the first maximum over every member of the full family
+    ell = min(ell, p)
+    t = min(t, 4 - ell)  # keeps composite families to a few ten thousand members
+    forbidden = frozenset(i + 1 for i in range(3) if forbidden_bits >> i & 1)
+    n = ell * t + len(forbidden) + extra
+    data = tie_heavy_tensor(n, p, kind, seed)
+    family = family_chunks(n, p, t, ell, forbidden, chunk_size=chunk_size)
+    value, member = argmax_over_family(data, family)
+    o_value, o_member = oracle_argmax_exact(data, n, p, t, ell, forbidden)
+    assert member == o_member
+    assert value.hex() == o_value.hex()
+
+
+@pytest.mark.parametrize("ell, entry", [(1, (1, 1, 2)), (2, (2, 3, 3))])
+def test_opposite_signed_ties_in_one_chunk_resolve_by_rank(ell, entry):
+    # the pinned members with signs (1, 1) and (1, -1) on the first odd part tie
+    # at -c and +c: the first pinned member's best is its flip (-1, -1), but
+    # (1, -1) comes earlier in rank order
+    n, p, t = 4, 3, 2
+    data = np.zeros(n**p)
+    data[np.ravel_multi_index(tuple(i - 1 for i in entry), (n,) * p)] = -1.0
+    value, member = argmax_over_family(data, family_chunks(n, p, t, ell))
+    assert member[1][0] == ((1, 2), (1, -1))
+    assert (value, member) == oracle_argmax_exact(data, n, p, t, ell)
+
+
 def test_recover_general_value_is_oracle_best():
     n, p, k, t, ell, seed = 8, 3, 2, 2, 2, 21
     Y = random_tensor(n, p, seed)
@@ -139,13 +220,24 @@ def test_all_ties_pick_first_member():
 
 
 def test_family_size_matches_oracle():
+    # each streamed member is pinned and stands for the 2^(odd parts) members of its class
     cases = [(6, 3, 2, 2, ()), (5, 4, 1, 3, ()), (7, 2, 3, 1, ()), (6, 2, 2, 2, ()),
              (8, 4, 1, 2, (2, 5, 7)), (7, 3, 2, 1, (4,))]
     for n, p, t, ell, forbidden in cases:
-        chunks = family_chunks(n, p, t, ell, frozenset(forbidden), chunk_size=5)
-        size = sum(len(members) for members, _, _ in chunks)
+        size = 0
+        for members, _, _ in family_chunks(n, p, t, ell, frozenset(forbidden), chunk_size=5):
+            (comp,) = {comp for comp, _ in members}  # one composition per chunk
+            assert all(signs[0] == 1 for _, cands in members for _, signs in cands)
+            size += len(members) * 2 ** sum(m % 2 for m in comp)
         assert size == sum(1 for _ in oracle_family(n, p, t, ell, frozenset(forbidden)))
         assert size == candidate_count(n, t, len(forbidden), p, ell)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_nonpositive_chunk_size_is_value_error(chunk_size):
+    # 0 once ended in "max() arg is an empty sequence", -1 in an islice message
+    with pytest.raises(ValueError, match=f"chunk_size={chunk_size}"):
+        argmax_over_Ut(DenseTensor.zeros(6, 3), 1, chunk_size=chunk_size)
 
 
 def test_too_few_free_coordinates():
