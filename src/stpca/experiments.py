@@ -62,7 +62,7 @@ _FIELD_TYPES = {
 
 CONCENTRATION_CANDIDATE_GUARD = 10**5
 CONCENTRATION_PAIR_GUARD = 2 * 10**5
-# terms the kept family holds, t^p per member: 2^24 int64 + float64 rows = 256 MiB
+# terms the kept family holds, t^p per pinned member: 2^24 int64 + float64 rows = 256 MiB
 CONCENTRATION_TERM_GUARD = 2**24
 
 
@@ -248,8 +248,11 @@ def check_concentration(
     r=1 scans U_t; r=2 scans ordered disjoint candidate pairs across all mode
     compositions. Reports the fraction of trials whose max exceeds the bound
     (theory says at most 2*gamma per trial). Before the family is built, its
-    member count must be within the r=1 or r=2 member guard and its t^p terms
-    per member within CONCENTRATION_TERM_GUARD in total.
+    member count must be within the r=1 or r=2 member guard. The kept family,
+    one pinned member of t^p terms per sign class, must hold at most
+    CONCENTRATION_TERM_GUARD terms: they are counted as the rows are built,
+    and a family that exceeds the guard even halved once per possible odd part
+    is refused before the build.
     """
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2 at desk scale")
@@ -259,15 +262,25 @@ def check_concentration(
     guard = CONCENTRATION_CANDIDATE_GUARD if r == 1 else CONCENTRATION_PAIR_GUARD
     if size > guard:
         raise ValueError(f"candidate family of {size} members exceeds feasibility guard {guard}")
-    terms = size * t**p
-    if terms > CONCENTRATION_TERM_GUARD:
-        raise ValueError(
-            f"candidate family of {size} members x {t**p} terms each = {terms} terms exceeds "
-            f"feasibility guard {CONCENTRATION_TERM_GUARD}"
-        )
+
+    def check_terms(terms: int) -> None:
+        if terms > CONCENTRATION_TERM_GUARD:
+            raise ValueError(
+                f"candidate family of {size} members keeps at least {terms} terms "
+                f"({t**p} terms per kept member), over feasibility guard {CONCENTRATION_TERM_GUARD}"
+            )
+
+    # before any chunk is allocated, refuse what the kept family must exceed: a kept
+    # member stands for 2^(its odd parts) members of the full family, and a
+    # composition of p into r parts has at most r - (p - r) % 2 odd parts
+    check_terms(size * t**p >> r - (p - r) % 2)
     bound = concentration_bound(n, p, t, r, gamma)
     # one family, kept and scored against every trial's noise tensor
-    family = list(family_chunks(n, p, t, r))
+    family, terms = [], 0
+    for chunk in family_chunks(n, p, t, r):
+        terms += chunk[1].size
+        check_terms(terms)
+        family.append(chunk)
     per_trial_max = []
     for trial in range(trials):
         W = _noise_data(n, p, trial_seed(seed, 0, trial))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -133,53 +132,41 @@ def _compositions(p: int, ell: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-# (modes, flat indices, coefficients): the nonzeros of a product of sparse
-# factors spanning `modes` consecutive modes, indices over n**modes entries
-_SparseTerms = tuple[int, list[int], list[float]]
+def _members(comp: tuple[int, ...], t: int, allowed: list[int]):
+    """Candidate tuples of every pinned member of one composition, in rank order.
 
-
-def _sign_terms(support: tuple[int, ...], signs: tuple[int, ...]) -> _SparseTerms:
-    """One-mode terms of the U_t vector with this 1-based support and these signs."""
-    mag = 1.0 / math.sqrt(len(support))
-    return 1, [i - 1 for i in support], [s * mag for s in signs]
-
-
-def _sparse_terms(n: int, factors: list[_SparseTerms]) -> _SparseTerms:
-    """Flat indices and coefficients of the nonzeros of f_1 x ... x f_m.
-
-    Each factor is a :data:`_SparseTerms` block, from :func:`_sign_terms` or
-    an earlier call, so a product over several modes can be built once and
-    reused. Terms come in lexicographic order of the factors' own terms, and
-    each coefficient is c_1 * ... * c_m multiplied left to right.
-    """
-    modes, idx, coeffs = 0, [0], [1.0]
-    for f_modes, f_idx, f_coeffs in factors:
-        stride = n**f_modes
-        idx = [x * stride + i for x in idx for i in f_idx]
-        coeffs = [x * c for x in coeffs for c in f_coeffs]
-        modes += f_modes
-    return modes, idx, coeffs
-
-
-def _members(n: int, comp: tuple[int, ...], t: int, allowed: list[int]):
-    """(candidates, terms) of every pinned member of one composition, in rank order.
-
-    Part q holds a U_t candidate over comp[q] modes with its first sign
-    pinned to +1; members are the ordered tuples with pairwise-disjoint
-    supports, the first part varying slowest. A U_t member (one part) never
-    repeats, so its terms are built directly; a composite member combines
-    each candidate's power terms, built once per (candidate, part size).
+    Part q holds a U_t candidate with its first sign pinned to +1; members are
+    the ordered tuples with pairwise-disjoint supports, the first part varying
+    slowest. U_t (one part) streams; a composite filters the tuples of the
+    materialized candidate list.
     """
     if len(comp) == 1:
-        for cand in _candidates(allowed, t, True):
-            yield (cand,), _sparse_terms(n, [_sign_terms(*cand)] * comp[0])
-        return
-    parts = [[(c, _sparse_terms(n, [_sign_terms(*c)] * m)) for c in _candidates(allowed, t, True)]
-             for m in comp]
-    for combo in itertools.product(*parts):
-        cands = tuple(cand for cand, _ in combo)
-        if len({i for support, _ in cands for i in support}) == len(comp) * t:
-            yield cands, _sparse_terms(n, [terms for _, terms in combo])
+        return ((cand,) for cand in _candidates(allowed, t, True))
+    cands = list(_candidates(allowed, t, True))
+    return (combo for combo in itertools.product(cands, repeat=len(comp))
+            if len({i for support, _ in combo for i in support}) == len(comp) * t)
+
+
+def _rows(n: int, comp: tuple[int, ...], supports: np.ndarray, signs: np.ndarray):
+    """Flat indices and coefficients of each member's tensor product, one row each.
+
+    supports (1-based) and signs are (members, len(comp), t) arrays; part q
+    spans comp[q] modes. Terms run in lexicographic order of the modes'
+    support positions, the first mode slowest. An index is Horner's rule over
+    the modes; a coefficient multiplies each part's vector entries over its
+    modes left to right from 1.0, then the parts' products left to right.
+    """
+    rows = len(supports)
+    idx = np.zeros((rows, 1), np.int64)
+    coeffs = np.ones((rows, 1))
+    entries = signs * (1.0 / math.sqrt(supports.shape[2]))  # each part's U_t vector
+    for q, m in enumerate(comp):
+        part = np.ones((rows, 1))
+        for _ in range(m):
+            idx = (idx[:, :, None] * n + (supports[:, None, q] - 1)).reshape(rows, -1)
+            part = (part[:, :, None] * entries[:, None, q]).reshape(rows, -1)
+        coeffs = (coeffs[:, :, None] * part[:, None, :]).reshape(rows, -1)
+    return idx, coeffs
 
 
 def family_chunks(
@@ -199,8 +186,9 @@ def family_chunks(
     (see :func:`argmax_over_family`). Yields (members, indices, coefficients)
     for up to chunk_size members of one composition at a time, which bounds
     the rows held at once: members[j] is (composition, ((support, signs),
-    ...)) and row j of the two (len(members), t**p) arrays holds the flat
-    indices and coefficients of the member's tensor product.
+    ...)) and row j of the two (len(members), t**p) arrays, built by
+    :func:`_rows`, holds the flat indices and coefficients of the member's
+    tensor product.
     """
     if chunk_size < 1:
         raise ValueError(f"need chunk_size >= 1, got chunk_size={chunk_size}")
@@ -208,19 +196,10 @@ def family_chunks(
     if candidate_count(len(allowed), t, 0, p, ell) == 0:
         raise EnumerationError(f"only {len(allowed)} free coordinates, need {ell} x t={t}")
     for comp in _compositions(p, ell):
-        members = _members(n, comp, t, allowed)
-        while True:
-            # raw int64/float64 buffers hold a chunk's rows without a Python object per term
-            ranked, idx, coeffs = [], array("q"), array("d")
-            for cands, (_, m_idx, m_coeffs) in itertools.islice(members, chunk_size):
-                ranked.append((comp, cands))
-                idx.extend(m_idx)
-                coeffs.extend(m_coeffs)
-            if not ranked:
-                break
-            shape = (len(ranked), -1)
-            yield (ranked, np.frombuffer(idx, np.int64).reshape(shape),
-                   np.frombuffer(coeffs).reshape(shape))
+        members = _members(comp, t, allowed)
+        while chunk := list(itertools.islice(members, chunk_size)):
+            cands = np.array(chunk)  # (members, ell, 2, t): each part's support and signs
+            yield [(comp, c) for c in chunk], *_rows(n, comp, cands[:, :, 0], cands[:, :, 1])
 
 
 def _rank_key(scored):

@@ -219,6 +219,25 @@ class TestConcentration:
         with pytest.raises(AssertionError, match="must not be built"):
             check_concentration(22, 4, 4, 1, 0.05, 1, 0)
 
+    def test_term_guard_counts_kept_rows(self, monkeypatch):
+        # n=6, p=3, t=2: 60 members, one kept per sign class: 30 x 8 = 240 terms;
+        # the full family's 480 terms were once charged against the guard
+        monkeypatch.setattr(experiments, "CONCENTRATION_TERM_GUARD", 300)
+        assert len(check_concentration(6, 3, 2, 1, 0.05, 1, 0).per_trial_max) == 1
+        monkeypatch.setattr(experiments, "CONCENTRATION_TERM_GUARD", 200)
+        with pytest.raises(ValueError, match="at least 240 terms"):
+            check_concentration(6, 3, 2, 1, 0.05, 1, 0)
+
+    def test_term_guard_counts_rows_as_built(self, monkeypatch):
+        # n=6, p=4, t=2, r=2: 3,240 pairs x 16 terms = 51,840; the 1,080 kept pairs
+        # hold 17,280, above the 12,960 that halving twice per pair gives, so the
+        # rows built decide
+        monkeypatch.setattr(experiments, "CONCENTRATION_TERM_GUARD", 17280)
+        assert len(check_concentration(6, 4, 2, 2, 0.05, 1, 0).per_trial_max) == 1
+        monkeypatch.setattr(experiments, "CONCENTRATION_TERM_GUARD", 17279)
+        with pytest.raises(ValueError, match="at least 17280 terms"):
+            check_concentration(6, 4, 2, 2, 0.05, 1, 0)
+
     def test_capacity_checked_before_noise(self):
         # 2000^3 entries: the family is small, the noise tensor is over the cap
         with pytest.raises(CapacityError):

@@ -6,7 +6,8 @@ order and keep the first maximum: U_t members come from
 disjoint-tuple enumeration below. Sums run in a different order than the
 scorer's, so values agree to rounding while members must agree exactly.
 The exact oracle builds a row for every member of the full family, with the
-scorer's own row arithmetic, so members and value bits must both agree.
+scorer's own row arithmetic, so members and value bits must both agree, and
+every streamed row must equal the oracle's row for its member.
 """
 
 import itertools
@@ -187,6 +188,30 @@ def test_ties_and_value_bits_match_full_family(p, ell, t, extra, forbidden_bits,
     o_value, o_member = oracle_argmax_exact(data, n, p, t, ell, forbidden)
     assert member == o_member
     assert value.hex() == o_value.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    ell=st.integers(1, 3),
+    t=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    forbidden_bits=st.integers(0, 2**3 - 1),
+    chunk_size=chunk_sizes,
+)
+def test_rows_match_oracle_rows(p, ell, t, extra, forbidden_bits, chunk_size):
+    # every row, not only the winner's, holds the member's indices and coefficient bits
+    ell = min(ell, p)
+    t = min(t, 4 - ell)
+    forbidden = frozenset(i + 1 for i in range(3) if forbidden_bits >> i & 1)
+    n = ell * t + len(forbidden) + extra
+    for members, idx, coeffs in family_chunks(n, p, t, ell, forbidden, chunk_size=chunk_size):
+        assert (idx.dtype, coeffs.dtype) == (np.int64, np.float64)
+        assert idx.shape == coeffs.shape == (len(members), t**p)
+        for j, member in enumerate(members):
+            o_idx, o_coeffs = oracle_row(n, *member)
+            assert idx[j].tolist() == o_idx
+            assert [c.hex() for c in coeffs[j].tolist()] == [c.hex() for c in o_coeffs]
 
 
 @pytest.mark.parametrize("ell, entry", [(1, (1, 1, 2)), (2, (2, 3, 3))])
